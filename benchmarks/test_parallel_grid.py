@@ -8,7 +8,7 @@ must serve the whole grid without simulating anything.
 
 from conftest import bench_scale
 
-from repro.experiments import ResultCache, format_table, run_policies
+from repro.experiments import ResultCache, clear_result_memo, format_table, run_policies
 from repro.workloads import seen_workloads, stratified_sample
 
 POLICIES = ["discard", "permit", "dripper"]
@@ -21,6 +21,7 @@ def test_parallel_grid_matches_serial(benchmark, tmp_path):
     spec = scale.spec()
 
     serial = run_policies(workloads, POLICIES, base_spec=spec)
+    clear_result_memo()  # the parallel grid must simulate, not hit the memo
     parallel = benchmark.pedantic(
         lambda: run_policies(workloads, POLICIES, base_spec=spec, jobs=JOBS),
         rounds=1, iterations=1,

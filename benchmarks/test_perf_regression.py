@@ -1,7 +1,8 @@
 """Perf smoke: the packed fast path stays bit-identical and does not regress.
 
 Result equality is asserted hard — the fast path's whole contract is that
-``SimConfig(packed=True)`` changes wall time and nothing else.  Throughput is
+the packed kernel (the production ``simulate`` path) changes wall time and
+nothing else against the generator oracle (``simulate_generator``).  Throughput is
 advisory: a single CI run is far too noisy to gate a merge on the measured
 ratio (see ``scripts/bench_hotloop.py`` for the careful methodology), so the
 only hard floor here is a generous one that catches the fast path becoming
@@ -16,7 +17,7 @@ from time import perf_counter
 
 from repro.experiments import RunSpec
 from repro.cpu.simulator import simulate
-from repro.validate import result_diff
+from repro.validate import result_diff, simulate_generator, simulate_mix_generator
 from repro.workloads import by_name, get_packed
 
 
@@ -38,11 +39,9 @@ class TestPackedFastPath:
         spec = RunSpec(prefetcher=prefetcher, policy=policy,
                        warmup_instructions=warmup, sim_instructions=sim)
         config = spec.config_for(workload)
-        packed_config = spec.config_for(workload)
-        packed_config.packed = True
         get_packed(workload, warmup, sim)  # pre-pack (steady-state timing)
-        t_gen, gen_result = _best_of(2, lambda: simulate(workload, config))
-        t_packed, packed_result = _best_of(2, lambda: simulate(workload, packed_config))
+        t_gen, gen_result = _best_of(2, lambda: simulate_generator(workload, config))
+        t_packed, packed_result = _best_of(2, lambda: simulate(workload, config))
         return t_gen, gen_result, t_packed, packed_result
 
     def test_default_cell_identical_and_not_slower(self):
@@ -128,6 +127,7 @@ class TestMixThroughput:
 
     def test_mix_grid_identical_and_fast(self):
         from repro.experiments.parallel import (
+            build_mix_config,
             grid_session,
             mix_cell_for,
             run_mix_cells,
@@ -146,10 +146,12 @@ class TestMixThroughput:
             with grid_session(2, True):
                 return run_mix_cells(cells, jobs=2)
 
-        t_serial, serial = _best_of(2, lambda: run_mix_cells(cells, jobs=1))
+        t_serial, serial = _best_of(2, lambda: [
+            simulate_mix_generator(cell.resolve_workloads(), build_mix_config(cell))
+            for cell in cells])
         t_packed, packed = _best_of(2, packed_grid)
         for want, got in zip(serial, packed):
-            for a, b in zip(want.results, got.results):
+            for a, b in zip(want, got.results):
                 assert result_diff(a, b) == {}
         floor = max(1.0, recorded["speedup"] * self.MARGIN)
         measured = t_serial / t_packed
@@ -188,9 +190,7 @@ class TestVectorizedKernelTier:
         spec = RunSpec(prefetcher="none", policy="discard",
                        warmup_instructions=warmup, sim_instructions=sim)
         fused_config = spec.config_for(workload)
-        fused_config.packed = True
         vec_config = spec.config_for(workload)
-        vec_config.packed = True
         vec_config.kernel = "vectorized"
         get_packed(workload, warmup, sim)  # pre-pack (steady-state timing)
         t_fused, fused_result = _best_of(2, lambda: simulate(workload, fused_config))
@@ -248,8 +248,7 @@ class TestSampledSimulation:
         warmup, sim = 8_000, 200_000
         spec = RunSpec(prefetcher=recorded["prefetcher"],
                        policy=recorded["policy"],
-                       warmup_instructions=warmup, sim_instructions=sim,
-                       packed=True)
+                       warmup_instructions=warmup, sim_instructions=sim)
         full_config = spec.config_for(workload)
         sampled_config = spec.config_for(workload)
         sampled_config.sampling = SamplingConfig(

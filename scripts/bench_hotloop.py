@@ -1,8 +1,9 @@
 """Benchmark the packed-trace fast path against the generator drive loop.
 
 For every (prefetcher x policy) cell the same simulation runs twice — once
-through the historical generator path (``drive``) and once through the
-batched fast path (``SimConfig(packed=True)`` -> ``drive_packed``).  Wall
+through the generator oracle (``repro.validate.simulate_generator``, the
+historical ``drive`` loop) and once through the production packed kernel
+(``simulate`` -> ``drive_packed``).  Wall
 time is the best of ``--repeats`` runs (single runs are noisy); throughput
 is reported as trace records per second.  Before any timing is reported the
 two paths' :class:`SimResult`\\ s are diffed field by field with the
@@ -53,13 +54,16 @@ from repro.experiments import RunSpec, format_table
 from repro.experiments.parallel import (
     _init_worker,
     _run_chunk_worker,
+    build_mix_config,
     cell_for,
+    clear_result_memo,
+    execute_cell,
     grid_session,
     mix_cell_for,
     run_cells,
     run_mix_cells,
 )
-from repro.validate import result_diff
+from repro.validate import result_diff, simulate_generator, simulate_mix_generator
 from repro.workloads import by_name, clear_pack_cache, get_packed, make_mixes
 from repro.cpu.simulator import simulate
 
@@ -119,8 +123,6 @@ def _best_of_interleaved(n: int, fn_a, fn_b):
 def bench_cell(workload, spec: RunSpec, repeats: int) -> dict:
     """Time one (prefetcher, policy) cell both ways; assert equality."""
     config = spec.config_for(workload)
-    packed_config = spec.config_for(workload)
-    packed_config.packed = True
 
     # pre-pack so the packed timing measures the drive loop, not trace
     # generation — exactly the steady state of a grid sweep, where one
@@ -130,8 +132,8 @@ def bench_cell(workload, spec: RunSpec, repeats: int) -> dict:
 
     t_gen, gen_result, t_packed, packed_result, speedup = _best_of_interleaved(
         repeats,
+        lambda: simulate_generator(workload, config),
         lambda: simulate(workload, config),
-        lambda: simulate(workload, packed_config),
     )
 
     diffs = result_diff(gen_result, packed_result)
@@ -160,9 +162,7 @@ def bench_cell(workload, spec: RunSpec, repeats: int) -> dict:
 def bench_kernel_cell(workload, spec: RunSpec, repeats: int) -> dict:
     """Time the fused vs vectorized packed kernels; assert equality."""
     fused_config = spec.config_for(workload)
-    fused_config.packed = True
     vec_config = spec.config_for(workload)
-    vec_config.packed = True
     vec_config.kernel = "vectorized"
 
     packed_trace = get_packed(workload, fused_config.warmup_instructions,
@@ -210,17 +210,19 @@ def _legacy_grid(cells, jobs: int):
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                              initargs=(None, ())) as pool:
         futures = [
-            pool.submit(_run_chunk_worker, [(i, cell)], (), False, False)
+            pool.submit(_run_chunk_worker, execute_cell, [(i, cell)], (), False)
             for i, cell in enumerate(cells)
         ]
         for future in as_completed(futures):
-            for i, result in future.result():
+            landed, _delta = future.result()
+            for i, result in landed:
                 results[i] = result
     return results
 
 
 def _shm_grid(cells, jobs: int):
     """The shm + workload-affine grid (a fresh session per run, like a CLI call)."""
+    clear_result_memo()  # every repeat must simulate, not replay the memo
     with grid_session(jobs, True):
         return run_cells(cells, jobs=jobs, shm=True)
 
@@ -267,9 +269,9 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
               seed: int = 42) -> dict:
     """Time the Fig. 19 mix grid both ways; assert per-core equality.
 
-    Serial generator stepping (``run_mix_cells(jobs=1)``, the historical
-    ``simulate_mix`` path) races the mix-affine scheduler dispatching whole
-    mixes to ``jobs`` workers on packed cores.  One shared-memory grid
+    Serial generator stepping (the ``simulate_mix_generator`` oracle, the
+    historical ``simulate_mix`` path) races the mix-affine scheduler
+    dispatching whole mixes to ``jobs`` workers on packed cores.  One shared-memory grid
     session stays open across the repeats — the steady state of a 300-mix
     study, where the worker pool and the published packs are paid once and
     amortised over hundreds of mixes — and the untimed warm-up pair inside
@@ -286,11 +288,13 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
     with grid_session(jobs, True):
         t_serial, serial_results, t_packed, packed_results, speedup = _best_of_interleaved(
             repeats,
-            lambda: run_mix_cells(cells, jobs=1),
+            lambda: [simulate_mix_generator(cell.resolve_workloads(),
+                                            build_mix_config(cell))
+                     for cell in cells],
             lambda: run_mix_cells(cells, jobs=jobs),
         )
     for cell, want, got in zip(cells, serial_results, packed_results):
-        for core, (a, b) in enumerate(zip(want.results, got.results)):
+        for core, (a, b) in enumerate(zip(want, got.results)):
             diffs = result_diff(a, b)
             if diffs:
                 parts = "; ".join(f"{k}: {x!r} != {y!r}" for k, (x, y) in diffs.items())
@@ -300,7 +304,7 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
                     f"({a.workload}): {parts}"
                 )
     instructions = sum(r.instructions for mix_result in serial_results
-                       for r in mix_result.results)
+                       for r in mix_result)
     return {
         "mixes": n_mixes,
         "cores": cores,
@@ -334,8 +338,7 @@ def bench_sampled(workload, prefetcher: str, policy: str, warmup: int,
     from repro.experiments.sampling import plan_phases
 
     spec = RunSpec(prefetcher=prefetcher, policy=policy,
-                   warmup_instructions=warmup, sim_instructions=sim,
-                   packed=True)
+                   warmup_instructions=warmup, sim_instructions=sim)
     full_config = spec.config_for(workload)
     sampled_config = spec.config_for(workload)
     sampled_config.sampling = sampling

@@ -21,7 +21,13 @@ import argparse
 import tempfile
 from time import perf_counter
 
-from repro.experiments import ResultCache, RunSpec, format_table, run_policies
+from repro.experiments import (
+    ResultCache,
+    RunSpec,
+    clear_result_memo,
+    format_table,
+    run_policies,
+)
 from repro.workloads import by_name
 
 
@@ -46,12 +52,15 @@ def main() -> int:
     serial = run_policies(workloads, args.policies, base_spec=spec)
     t_serial = perf_counter() - start
 
+    # every leg must simulate: drop the in-process result memo between them
+    clear_result_memo()
     start = perf_counter()
     parallel = run_policies(workloads, args.policies, base_spec=spec, jobs=args.jobs)
     t_parallel = perf_counter() - start
     assert parallel == serial, "parallel results diverged from serial"
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
+        clear_result_memo()
         warm = ResultCache(cache_dir)
         run_policies(workloads, args.policies, base_spec=spec, jobs=args.jobs, cache=warm)
         cached_cache = ResultCache(cache_dir)

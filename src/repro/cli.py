@@ -20,16 +20,15 @@ each mix stepped in retire-clock order against a shared LLC+DRAM, reported
 as the weighted-speedup distribution over the first (baseline) policy.
 Isolation runs are ordinary grid cells — ``--cache-dir`` dedupes them
 across mixes and invocations — and ``--jobs`` fans whole mixes out to
-workers on packed cores (bit-identical to the serial generator loop).
+workers.
 
 ``run``, ``compare``, ``sweep``, and ``inspect`` accept ``--validate``, which
 attaches a runtime invariant checker to every simulation (conservation laws
 asserted per epoch and at collect time; a violation aborts the command with a
-counter snapshot).  The same four subcommands accept ``--packed``, which
-drives each simulation through the packed-trace fast path (records are
-pre-decoded into flat buffers and the drive loop is batched; results are
-bit-identical to the generator path, just faster).  ``validate`` runs the
-differential suite — determinism, parallel-vs-serial,
+counter snapshot).  Every simulation drives the packed kernel (records
+are pre-decoded into flat buffers once per workload and window); the
+per-record generator loop survives only as the oracle of ``validate``,
+which runs the differential suite — determinism, parallel-vs-serial,
 discard-vs-source-suppression, epoch invariance, packed-vs-generator
 equality, per-run invariant passes, and mutation detection.
 
@@ -112,7 +111,6 @@ def _spec(args: argparse.Namespace, policy: str) -> RunSpec:
         sim_instructions=args.sim,
         large_page_fraction=args.large_pages,
         validate=getattr(args, "validate", False),
-        packed=getattr(args, "packed", False),
         kernel=getattr(args, "kernel", "fused"),
         sampling=_sampling_config(args),
     )
@@ -330,7 +328,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         warmup_instructions=args.warmup,
         sim_instructions=args.sim,
         validate=args.validate,
-        packed=args.packed,
         kernel=args.kernel,
         sampling=_sampling_config(args),
     )
@@ -502,7 +499,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         cache=cache,
         obs=obs,
         shm=args.shm,
-        packed=args.packed,
         kernel=args.kernel,
         validate=args.validate,
         progress=_progress_sink(args),
@@ -671,15 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run "
                             "(abort with a counter snapshot on violation)")
-        p.add_argument("--packed", action="store_true",
-                       help="drive the simulation through the packed-trace fast "
-                            "path (bit-identical results, substantially faster)")
         p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
                        default="fused",
                        help="packed kernel tier: 'vectorized' skips uneventful "
                             "spans with numpy scans, 'auto' probes each pack's "
-                            "event density and picks the winning tier (both "
-                            "imply --packed; bit-identical results)")
+                            "event density and picks the winning tier "
+                            "(bit-identical results)")
         p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sampled simulation: cluster the trace into "
@@ -763,12 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--sim", type=int, default=60_000)
     swp_p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run")
-    swp_p.add_argument("--packed", action="store_true",
-                       help="drive every run through the packed-trace fast path")
     swp_p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
                        default="fused",
-                       help="packed kernel tier for every run (vectorized/"
-                            "auto imply --packed)")
+                       help="packed kernel tier for every run "
+                            "(bit-identical results)")
     swp_p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sample every sweep cell into PHASES phases "
@@ -796,8 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "distribution over the first (baseline) policy.  "
                     "Isolation IPCs are content-addressed grid cells, so "
                     "--cache-dir dedupes them across mixes and invocations; "
-                    "--jobs dispatches whole mixes to workers on packed "
-                    "cores (bit-identical to the serial generator loop).",
+                    "--jobs dispatches whole mixes to workers.",
     )
     mix_p.add_argument("--mixes", type=_positive_int, default=4, metavar="N",
                        help="number of mixes (the paper runs 300)")
@@ -813,13 +803,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mix-composition seed")
     mix_p.add_argument("--validate", action="store_true",
                        help="attach a runtime invariant checker to every core")
-    mix_p.add_argument("--packed", action="store_true",
-                       help="drive serial mixes through the packed mix loop "
-                            "(workers always use it; bit-identical results)")
     mix_p.add_argument("--kernel", choices=("fused", "vectorized"),
                        default="fused",
-                       help="packed kernel tier for every core (vectorized "
-                            "implies --packed)")
+                       help="packed kernel tier for every core "
+                            "(bit-identical results)")
     add_parallel_args(mix_p)
     g = mix_p.add_argument_group("observability")
     g.add_argument("--journal", metavar="PATH", default=None,

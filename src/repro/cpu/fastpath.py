@@ -46,8 +46,10 @@ from repro.core.thresholds import AdaptiveThreshold, StaticThreshold
 from repro.core.update_buffers import TrainingRecord
 from repro.cpu.branch import DEFAULT_HISTORY_LENGTHS, HashedPerceptronBranchPredictor
 from repro.cpu.core import CoreEngine
+# one ``fused``/``stepwise`` increment per drive entry; the hot loop itself
+# stays untouched
+from repro.cpu.simulator import DRIVES as _DRIVES
 from repro.mem.replacement import LruPolicy
-from repro.obs.metrics import get_metrics
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT, VA_MASK
 from repro.vm.page_table import Translation
@@ -55,12 +57,6 @@ from repro.workloads.packed import PackedTrace
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN
 
 __all__ = ["drive_packed"]
-
-#: same instrument the generator loop increments (mode="generator"); one
-#: increment per drive entry, so the hot loop itself stays untouched
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 
 def _lru_fusible(cache) -> bool:

@@ -74,7 +74,7 @@ from repro.cpu.fastpath import _lru_fusible, _make_fused_dispatch
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT
 from repro.vm.page_table import Translation
-from repro.workloads.packed import PackedTrace
+from repro.workloads.packed import PackedTrace, stable_identity
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,17 +146,14 @@ def clear_overflow_tails() -> None:
 def _tail_key(workload: "SyntheticWorkload", skip: int) -> tuple | None:
     """Identity key for the tail cache, or None when caching is unsafe.
 
-    Mirrors ``repro.workloads.packed._pack_key``: seed- or path-identified
-    workloads regenerate deterministically, so their tails can be shared;
-    anything else would need id-keyed weakref pinning — not worth it for a
-    pure performance cache, so those streams just stay uncached.
+    Uses the pack cache's rule (:func:`repro.workloads.packed.stable_identity`):
+    registry and file-backed workloads regenerate deterministically, so
+    their tails can be shared; anything else would need id-keyed weakref
+    pinning — not worth it for a pure performance cache, so those streams
+    just stay uncached.
     """
-    seed = getattr(workload, "seed", None)
-    path = getattr(workload, "path", None)
-    if seed is None and path is None:
-        return None
-    return (type(workload).__name__, workload.name,
-            getattr(workload, "suite", ""), seed, str(path), skip)
+    identity = stable_identity(workload)
+    return None if identity is None else (*identity, skip)
 
 
 def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"]:

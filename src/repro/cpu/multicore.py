@@ -14,12 +14,12 @@ against the baseline configuration's weighted IPC.
 
 Two drive loops produce bit-identical results:
 
-* the **generator loop** (the reference implementation) pulls one record at
-  a time from each core's live workload generator, exactly as the original
-  implementation did;
-* the **packed loop** (``SimConfig(packed=True)`` or
-  ``kernel="vectorized"``) steps each core over the flat columns of its
-  cached :class:`~repro.workloads.packed.PackedTrace` **through the fused
+* the **generator loop** (:func:`_drive_mix_generator`, the reference
+  oracle that :mod:`repro.validate` calls by name) pulls one record at a
+  time from each core's live workload generator;
+* the **packed loop** (the production path of :func:`simulate_mix`) steps
+  each core over the flat columns of its cached
+  :class:`~repro.workloads.packed.PackedTrace` **through the fused
   fast-path record kernel** (:mod:`repro.cpu.fastpath_mix`) — per-record
   pattern state machines and RNG draws are paid once per (workload,
   window) instead of once per mix × policy, and the dominant record case
@@ -43,10 +43,16 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cpu.simulator import SimConfig, SimResult, build_engine, collect_result, simulate
+from repro.cpu.simulator import (
+    DRIVES as _DRIVES,
+    SimConfig,
+    SimResult,
+    build_engine,
+    collect_result,
+    simulate,
+)
 from repro.mem.cache import Cache
 from repro.mem.dram import Dram
-from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_span
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -56,13 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.validate.invariants import InvariantChecker
 
 _INF = float("inf")
-
-#: the same instrument the single-core drive loops increment; mix drives are
-#: labelled ``mix-generator`` / ``mix-packed`` so merged grid metrics
-#: attribute multicore work separately from single-core runs
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 
 def weighted_speedup(
@@ -123,7 +122,8 @@ def _drive_mix_generator(
     core_configs: list[SimConfig],
     checkers: Optional[list["InvariantChecker"]] = None,
 ) -> list[Optional[SimResult]]:
-    """Reference drive loop: one record at a time from live generators."""
+    """Reference oracle: one record at a time from live generators."""
+    _DRIVES.inc(mode="mix-generator")
     cores = len(engines)
     iterators = [iter(w.generate()) for w in workloads]
     measuring = [False] * cores
@@ -197,6 +197,7 @@ def _drive_mix_packed(
     from repro.cpu.fastpath_mix import core_stepper
     from repro.workloads.packed import get_packed
 
+    _DRIVES.inc(mode="mix-packed")
     cores = len(engines)
     steppers = []
     for i, (engine, workload, (warmup, sim)) in enumerate(
@@ -235,6 +236,34 @@ def _drive_mix_packed(
             stepper.close()
 
 
+def build_mix(
+    workloads: Sequence[SyntheticWorkload], config: SimConfig,
+) -> tuple[list["CoreEngine"], list[tuple[int, int]], list[SimConfig]]:
+    """Wire one engine per core around a shared LLC + DRAM.
+
+    Returns ``(engines, budgets, core_configs)``: each core's per-core
+    config carries its (QMM-halved where applicable) ``(warmup, sim)``
+    budget, so the journaled ``requested_instructions`` matches what the
+    core measures.
+    """
+    params = config.params.scaled_llc(len(workloads))
+    dram = Dram(params.dram)
+    llc = Cache(params.llc, writeback=dram.write)
+    engines = []
+    budgets = []
+    core_configs = []
+    for i, workload in enumerate(workloads):
+        warmup, sim = config.warmup_instructions, config.sim_instructions
+        if workload.suite.startswith("QMM"):
+            warmup, sim = warmup // 2, sim // 2
+        core_config = replace(config, params=params, asid=i,
+                              warmup_instructions=warmup, sim_instructions=sim)
+        engines.append(build_engine(core_config, shared_llc=llc, shared_dram=dram))
+        budgets.append((warmup, sim))
+        core_configs.append(core_config)
+    return engines, budgets, core_configs
+
+
 def simulate_mix(
     workloads: Sequence[SyntheticWorkload],
     config: SimConfig,
@@ -244,10 +273,9 @@ def simulate_mix(
 ) -> MixResult:
     """Run one mix: len(workloads) cores sharing LLC + DRAM.
 
-    Honours the same config knobs as :func:`~repro.cpu.simulator.simulate`:
-    ``config.packed`` (or ``kernel="vectorized"``, which implies it) selects
-    the packed mix loop — bit-identical, asserted by
-    :func:`repro.validate.check_mix_packed_matches_generator` — an unknown
+    Cores step through the packed mix loop, bit-identical to the
+    :func:`_drive_mix_generator` oracle (asserted by
+    :func:`repro.validate.check_mix_packed_matches_generator`).  An unknown
     ``config.kernel`` raises instead of silently falling back, and
     ``config.validate`` attaches one
     :class:`~repro.validate.InvariantChecker` per core (each core's result
@@ -271,23 +299,7 @@ def simulate_mix(
             "timeline/probe instruments are single-core only; pass an "
             "Observability bundle with just a journal to simulate_mix"
         )
-    params = config.params.scaled_llc(cores)
-    dram = Dram(params.dram)
-    llc = Cache(params.llc, writeback=dram.write)
-    engines = []
-    budgets = []
-    core_configs = []
-    for i, workload in enumerate(workloads):
-        warmup, sim = config.warmup_instructions, config.sim_instructions
-        if workload.suite.startswith("QMM"):
-            warmup, sim = warmup // 2, sim // 2
-        # the per-core config carries the (possibly halved) budgets so the
-        # journaled requested_instructions matches what the core measures
-        core_config = replace(config, params=params, asid=i,
-                              warmup_instructions=warmup, sim_instructions=sim)
-        engines.append(build_engine(core_config, shared_llc=llc, shared_dram=dram))
-        budgets.append((warmup, sim))
-        core_configs.append(core_config)
+    engines, budgets, core_configs = build_mix(workloads, config)
     checkers = None
     if config.validate:
         from repro.validate import InvariantChecker
@@ -295,13 +307,9 @@ def simulate_mix(
         checkers = [InvariantChecker(obs=obs, workload=w.name) for w in workloads]
         for checker, engine in zip(checkers, engines):
             checker.attach(engine)
-    packed = config.packed or config.kernel == "vectorized"
-    mode = "mix-packed" if packed else "mix-generator"
-    _DRIVES.inc(mode=mode)
-    drive = _drive_mix_packed if packed else _drive_mix_generator
     wall_start = perf_counter()
-    with trace_span("mix-drive", mix=mix_id, cores=cores, mode=mode):
-        finished = drive(engines, workloads, budgets, core_configs, checkers)
+    with trace_span("mix-drive", mix=mix_id, cores=cores, mode="mix-packed"):
+        finished = _drive_mix_packed(engines, workloads, budgets, core_configs, checkers)
     wall_seconds = perf_counter() - wall_start
     results = [r for r in finished if r is not None]
     if obs is not None:
@@ -322,8 +330,8 @@ def isolation_ipc(
     """IPC of `workload` alone on the multi-core configuration.
 
     Delegates to :func:`~repro.cpu.simulator.simulate`, so the config's
-    ``packed``/``kernel``/``validate`` knobs are honoured the same way a
-    single-core run honours them.
+    ``kernel``/``validate`` knobs are honoured the same way a single-core
+    run honours them.
     """
     iso_config = replace(config, params=config.params.scaled_llc(cores))
     warmup, sim = config.warmup_instructions, config.sim_instructions

@@ -26,6 +26,7 @@ from repro.vm.page_table import LargePagePolicy, PageTable
 from repro.vm.psc import SplitPsc
 from repro.vm.tlb import Tlb
 from repro.vm.walker import PageWalker
+from repro.workloads.packed import get_packed
 from repro.workloads.trace import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,12 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: builds a fresh policy per run (policies are stateful and must not be shared)
 PolicyFactory = Callable[[], PageCrossPolicy]
 
-#: one increment per drive-loop entry, labelled by mode (``generator`` |
-#: ``fused`` | ``stepwise`` | ``vectorized``) — the fast-path-vs-fallback
-#: ratio of a grid is readable straight off the merged metrics
-_DRIVES = get_metrics().counter(
+#: one increment per drive-loop entry, labelled by mode — the single-core
+#: kernels (``fused`` | ``stepwise`` | ``vectorized``), ``sampled`` runs,
+#: and the mix loop (``mix-packed``); ``generator`` and ``mix-generator``
+#: only come from the reference oracles that :mod:`repro.validate` calls.
+#: Every drive loop imports this one instrument.
+DRIVES = get_metrics().counter(
     "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
+    "drive-loop entries by mode (fused/stepwise/vectorized/sampled/"
+    "mix-packed in production; generator/mix-generator from the oracles)")
 
 
 @dataclass
@@ -61,23 +65,18 @@ class SimConfig:
     #: (conservation laws checked per epoch and at collect time); purely
     #: observational — a validated run produces the same SimResult
     validate: bool = False
-    #: drive through the batched fast path (:mod:`repro.cpu.fastpath`) over a
-    #: cached :class:`~repro.workloads.packed.PackedTrace` instead of the
-    #: per-record generator loop; results are bit-identical either way
-    packed: bool = False
-    #: packed kernel tier: ``"fused"`` (record-at-a-time, PR 4/5),
+    #: packed kernel tier: ``"fused"`` (record-at-a-time),
     #: ``"vectorized"`` (span-skipping numpy scans,
     #: :mod:`repro.cpu.fastpath_vec`), or ``"auto"`` (an event-density probe
-    #: over the pack picks the tier expected to win).  Anything but
-    #: ``"fused"`` implies the packed path; results are bit-identical
-    #: across tiers
+    #: over the pack picks the tier expected to win); results are
+    #: bit-identical across tiers
     kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`): profile
     #: the packed trace into phases, simulate one representative interval
     #: per phase, and reconstruct the whole-trace result with bootstrap
     #: confidence bounds.  ``None`` (the default) simulates the full window;
     #: a sampled result is an *approximation* and therefore DOES enter the
-    #: result-cache fingerprint, unlike ``packed``/``kernel``
+    #: result-cache fingerprint, unlike ``kernel``
     sampling: Optional["SamplingConfig"] = None
 
 
@@ -283,17 +282,18 @@ def collect_result(engine: CoreEngine, workload_name: str, config: SimConfig) ->
 
 
 def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
-    """Feed the workload through a built engine (warm-up + measured region).
+    """Reference oracle: feed the workload's generator through ``engine.step``.
 
-    Returns the wall-clock seconds spent; raises :class:`ValueError` when the
-    trace ends before warm-up completes or truncates the measured region.
-    Split out of :func:`simulate` so harnesses (e.g. the differential suite
-    in :mod:`repro.validate`) can run custom-wired engines through exactly
-    the production drive loop.
+    Runs warm-up + measured region one record at a time.  Returns the
+    wall-clock seconds spent; raises :class:`ValueError` when the trace ends
+    before warm-up completes or truncates the measured region.  Production
+    runs drive the packed kernel instead (:func:`simulate`); this loop stays
+    as the oracle that :mod:`repro.validate`'s differential checks compare
+    the kernel against, and for custom-wired engines.
     """
     warm_limit = config.warmup_instructions
     sim_limit = config.sim_instructions
-    _DRIVES.inc(mode="generator")
+    DRIVES.inc(mode="generator")
     step = engine.step
     measuring = False
     wall_start = perf_counter()
@@ -325,12 +325,26 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
     return wall_seconds
 
 
+def packed_driver(kernel: str) -> Callable[..., float]:
+    """The packed drive loop of a kernel tier (``fused``/``vectorized``/``auto``)."""
+    if kernel == "vectorized":
+        from repro.cpu.fastpath_vec import drive_packed_vec as drive_loop
+    elif kernel == "auto":
+        from repro.cpu.fastpath_vec import drive_packed_auto as drive_loop
+    else:
+        from repro.cpu.fastpath import drive_packed as drive_loop
+    return drive_loop
+
+
 def simulate(
     workload: Workload, config: SimConfig, *, obs: Optional["Observability"] = None
 ) -> SimResult:
     """Run one workload under one configuration (warm-up + measured region).
 
-    Pass an :class:`~repro.obs.Observability` bundle to record an epoch
+    The workload is packed once per (workload, window) and driven through
+    the packed kernel (:mod:`repro.cpu.fastpath`), which is bit-identical
+    to the :func:`drive` oracle.  Pass an
+    :class:`~repro.obs.Observability` bundle to record an epoch
     timeline, journal the run, and/or profile the hot paths; with ``obs``
     omitted the run executes the exact unobserved fast path.  With
     ``config.validate`` set, a :class:`~repro.validate.InvariantChecker` is
@@ -358,22 +372,9 @@ def simulate(
 
         checker = InvariantChecker(obs=obs, workload=workload.name)
         checker.attach(engine)
-    if config.packed or config.kernel != "fused":
-        from repro.workloads.packed import get_packed
-
-        if config.kernel == "vectorized":
-            from repro.cpu.fastpath_vec import drive_packed_vec as _drive
-        elif config.kernel == "auto":
-            from repro.cpu.fastpath_vec import drive_packed_auto as _drive
-        else:
-            from repro.cpu.fastpath import drive_packed as _drive
-
-        packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
-        with trace_span("drive", workload=workload.name, mode="packed"):
-            wall_seconds = _drive(engine, packed, config)
-    else:
-        with trace_span("drive", workload=workload.name, mode="generator"):
-            wall_seconds = drive(engine, workload, config)
+    packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
+    with trace_span("drive", workload=workload.name, mode="packed"):
+        wall_seconds = packed_driver(config.kernel)(engine, packed, config)
     with trace_span("collect", workload=workload.name):
         result = collect_result(engine, workload.name, config)
     if checker is not None:

@@ -391,7 +391,6 @@ def fig19_multicore(
     cache=None,
     obs=None,
     shm: Optional[bool] = None,
-    packed: bool = False,
     kernel: str = "fused",
     validate: bool = False,
     progress=None,
@@ -402,7 +401,7 @@ def fig19_multicore(
     PGC); every other policy is reported as a per-mix weighted-speedup
     distribution plus its geomean.  The paper runs 300 mixes
     (``n_mixes=300``); at that scale pass ``jobs=`` to fan mixes out as
-    affine chunks (one mix per worker chunk, packed cores) and ``cache=``
+    affine chunks (one mix per worker chunk) and ``cache=``
     (a :class:`~repro.experiments.cache.ResultCache`) to dedupe the
     isolation runs — every workload × policy isolation IPC is an ordinary
     content-addressed cell, shared across all mixes that draw it.
@@ -424,7 +423,6 @@ def fig19_multicore(
         prefetcher="berti",
         warmup_instructions=warmup_instructions,
         sim_instructions=sim_instructions,
-        packed=packed,
         kernel=kernel,
         validate=validate,
     )

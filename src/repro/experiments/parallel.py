@@ -12,7 +12,17 @@ nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
 * ``cache=`` (a :class:`~repro.experiments.cache.ResultCache`) makes cells
   content-addressed: a cell whose full config + workload seed was already
   simulated — earlier in the same batch, in a previous call, or in a
-  previous process — is served from disk instead of re-simulated.
+  previous process — is served from disk instead of re-simulated;
+* with or without a cache, a cell already simulated *in this process* is
+  served from the in-process result memo (see below), so figures that
+  share baselines simulate each distinct cell once.
+
+The **result memo** maps :func:`cell_fingerprint` to a private copy of the
+cell's :class:`SimResult`, hands out copies, and is LRU-bounded at a fixed
+``_MEMO_CAPACITY``.  It serves only registry workloads with ``obs is None``
+and ``validate`` off; every other cell always simulates.  The disk cache
+is consulted first (its accounting is unchanged) and a memo-served miss is
+still stored.  :func:`clear_result_memo` empties it.
 
 Scheduling is **workload-affine**: pending cells are grouped by workload
 identity and pack window, and each worker receives whole per-workload chunks
@@ -65,8 +75,10 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
@@ -81,7 +93,7 @@ from repro.obs.metrics import MetricsSnapshot, get_metrics, reset_metrics
 from repro.obs.progress import GridProgress, ProgressSink
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
 from repro.params import SystemParams
-from repro.workloads.packed import clear_pack_cache
+from repro.workloads.packed import clear_pack_cache, stable_identity
 from repro.workloads.registry import by_name
 from repro.workloads.shm import PackHandle, SharedPackStore, install_attachments
 
@@ -96,6 +108,34 @@ ResultHook = Callable[[int, SimResult, bool], None]
 #: (the third leg of the result-cache story next to hits/misses)
 _COALESCED = get_metrics().counter(
     "result_cache.coalesced", "in-flight duplicate cells coalesced onto a primary")
+
+
+#: fixed bound on the in-process result memo (a SimResult is ~2 KB, so
+#: the full memo stays in the low megabytes)
+_MEMO_CAPACITY = 1024
+
+#: cell fingerprint -> private SimResult copy, least recently used first
+_RESULT_MEMO: "OrderedDict[str, SimResult]" = OrderedDict()
+
+
+def clear_result_memo() -> None:
+    """Drop every memoised result (test isolation, forked workers)."""
+    _RESULT_MEMO.clear()
+
+
+def _memo_get(key: str) -> Optional[SimResult]:
+    result = _RESULT_MEMO.get(key)
+    if result is None:
+        return None
+    _RESULT_MEMO.move_to_end(key)
+    return copy(result)
+
+
+def _memo_put(key: str, result: SimResult) -> None:
+    _RESULT_MEMO[key] = copy(result)
+    _RESULT_MEMO.move_to_end(key)
+    while len(_RESULT_MEMO) > _MEMO_CAPACITY:
+        _RESULT_MEMO.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -130,15 +170,12 @@ class Cell:
 
 def cell_for(workload: Any, spec: RunSpec, **overrides: Any) -> Cell:
     """Build a Cell, carrying the workload by registry name when possible."""
-    name = getattr(workload, "name", str(workload))
-    try:
-        registered = by_name(name) is workload
-    except KeyError:
-        registered = False
+    identity = stable_identity(workload)
     return Cell(
-        workload=name,
+        workload=getattr(workload, "name", str(workload)),
         spec=spec,
-        workload_obj=None if registered else workload,
+        workload_obj=(None if identity is not None and identity[0] == "registry"
+                      else workload),
         **overrides,
     )
 
@@ -170,9 +207,8 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
     spec_dump = asdict(cell.spec)
     # validation is observational — a validated run returns the identical
     # result, so validated and unvalidated cells share cache entries; the
-    # packed fast path is bit-identical by contract, so it shares them too
+    # kernel tiers are bit-identical by contract, so they share them too
     spec_dump.pop("validate", None)
-    spec_dump.pop("packed", None)
     spec_dump.pop("kernel", None)
     # sampling, by contrast, changes the result (a reconstruction, not a
     # bit-identical rerun) and so must stay in the fingerprint when set;
@@ -217,18 +253,10 @@ def _grid_metrics():
     return _GRID_METRICS
 
 
-def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None,
-                 force_packed: bool = False) -> SimResult:
-    """Run one cell in the current process (the `jobs=1` path).
-
-    ``force_packed`` routes the run through the packed fast path regardless
-    of the spec (bit-identical by contract) — set for cells whose chunk
-    shipped an shm pack handle, so the worker replays the attached view.
-    """
+def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None) -> SimResult:
+    """Simulate one cell in the current process."""
     workload = cell.resolve_workload()
     config = build_config(cell, workload)
-    if force_packed and not config.packed:
-        config.packed = True
     policy = cell.policy or cell.spec.policy
     start = perf_counter()
     with trace_span("cell", category="grid",
@@ -238,14 +266,18 @@ def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None,
                 result = simulate(workload, config, obs=obs)
         else:
             result = simulate(workload, config, obs=obs)
-    wall = perf_counter() - start
-    cells, instructions, wall_seconds, cell_seconds = _grid_metrics()
+    _record_cell(perf_counter() - start, result.instructions)
+    return result
+
+
+def _record_cell(wall: float, instructions: int) -> None:
+    """Account one executed grid cell (single-core or mix) to this pid."""
+    cells, simulated, wall_seconds, cell_seconds = _grid_metrics()
     pid = str(os.getpid())
     cells.inc(pid=pid)
-    instructions.inc(result.instructions, pid=pid)
+    simulated.inc(instructions, pid=pid)
     wall_seconds.inc(wall, pid=pid)
     cell_seconds.observe(wall)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +294,10 @@ def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
     _WORKER_SEQ = 0
     # a forked worker inherits the parent's pack-cache buffers but would
     # repack on first miss anyway (nothing keeps the inherited entries warm
-    # across COW); drop them so worker RSS doesn't double
+    # across COW); drop them so worker RSS doesn't double — workers never
+    # consult the result memo, so drop the inherited copy of that too
     clear_pack_cache()
+    clear_result_memo()
     # it also inherits the parent's metric *values* (warm-up packs, earlier
     # batches) — reset them so the per-chunk deltas this worker ships back
     # count only its own work, never the parent's
@@ -293,13 +327,15 @@ def _chunk_obs() -> Optional["Observability"]:
 
 
 def _run_chunk_worker(
-    items: Sequence[tuple[int, Cell]],
+    execute: Callable[..., Any],
+    items: Sequence[tuple[int, Any]],
     handles: Sequence[PackHandle],
     use_journal: bool,
-    force_packed: bool,
     trace_dir: Optional[str] = None,
-) -> tuple[list[tuple[int, SimResult]], MetricsSnapshot]:
-    """Run one workload-affine chunk of cells in this worker process.
+) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
+    """Run one chunk — a workload-affine run of cells, or one mix — in this
+    worker process; ``execute`` is :func:`execute_cell` or
+    :func:`execute_mix_cell`.
 
     Returns the chunk's results plus a metrics *delta* — everything this
     worker's registry accumulated during the chunk, relative to a snapshot
@@ -318,8 +354,7 @@ def _run_chunk_worker(
     mark = registry.snapshot()
     obs = _chunk_obs() if use_journal else None
     try:
-        out = [(i, execute_cell(cell, obs=obs, force_packed=force_packed))
-               for i, cell in items]
+        out = [(i, execute(cell, obs=obs)) for i, cell in items]
     finally:
         if obs is not None:
             obs.close()
@@ -459,6 +494,71 @@ def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
         for i in indices)
 
 
+#: one pool task: (execute_cell | execute_mix_cell, [(index, cell)], pack
+#: handles, estimated cost)
+_Chunk = tuple[Callable[..., Any], list[tuple[int, Any]], tuple[PackHandle, ...], float]
+
+
+def _dispatch_chunks(
+    workers: int,
+    shm: Optional[bool],
+    obs: Optional["Observability"],
+    prog: Optional[GridProgress],
+    finish: Callable[[int, Any], None],
+    plan: Callable[[_GridSession], list[_Chunk]],
+) -> None:
+    """The ``jobs>1`` half of :func:`run_cells` and :func:`run_mix_cells`.
+
+    ``plan(session)`` lays the batch out as chunks (publishing their packs
+    into the session's store); they are submitted to the session's pool
+    costliest-first, and each landed result goes through ``finish``.
+    Worker metric deltas, journal shards and trace shards are merged back
+    into this process.
+    """
+    if obs is not None and (obs.timeline is not None or obs.probe is not None):
+        raise ValueError(
+            "timeline/probe instruments are in-process only; run with jobs=1 "
+            "or pass an Observability bundle with just a journal"
+        )
+    journal = obs.journal if obs is not None else None
+    session = _SESSION
+    ephemeral = session is None
+    if ephemeral:
+        session = _GridSession(workers, shm if shm is not None else True)
+    try:
+        chunks = sorted(plan(session), key=lambda c: -c[3])  # costliest first
+        pool = session.pool()
+        trace_dir = session.trace_dir if current_tracer() is not None else None
+        futures = {
+            pool.submit(_run_chunk_worker, execute, items, handles,
+                        journal is not None, trace_dir): [i for i, _ in items]
+            for execute, items, handles, _cost in chunks
+        }
+        registry = get_metrics()
+        for future in as_completed(futures):
+            try:
+                landed, delta = future.result()
+            except BaseException as exc:
+                if prog is not None:
+                    prog.cell_failed(futures[future], exc)
+                raise
+            # deltas are commutative/associative, so completion order —
+            # which varies run to run — cannot change the merged totals
+            registry.merge(delta)
+            for i, result in landed:
+                finish(i, result)
+        if journal is not None:
+            from repro.obs.journal import merge_shards
+
+            obs.runs += merge_shards(journal, session.shard_dir, consume=True)
+    finally:
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.absorb_shards(session.trace_dir)
+        if ephemeral:
+            session.close()
+
+
 def run_cells(
     cells: Sequence[Cell],
     *,
@@ -471,11 +571,14 @@ def run_cells(
 ) -> list[SimResult]:
     """Execute a batch of cells; results come back in input order.
 
-    With a cache, cells are first looked up by fingerprint and identical
-    in-flight cells are coalesced: the first occurrence simulates, the rest
-    are served from the freshly written entry (they count as cache hits).
-    Only simulated cells are journaled — the journal stays a log of actual
-    simulations, while cache stats account for the saved ones.
+    Cells are looked up by fingerprint in the cache (when given), then —
+    if memo-eligible (see the module docstring) — in the in-process result
+    memo.  With a cache, identical in-flight cells are coalesced: the first
+    occurrence simulates, the rest are served from its entry (they count as
+    cache hits); without one, a repeated memo-eligible cell of a serial
+    batch is served from the memo.  Only simulated cells are journaled —
+    the journal stays a log of actual simulations, while cache stats
+    account for the saved ones.
 
     ``shm=None`` enables the shared pack store whenever ``jobs>1`` (pass
     ``False`` to force per-worker packing); inside a :func:`grid_session`
@@ -490,27 +593,38 @@ def run_cells(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     results: list[Optional[SimResult]] = [None] * len(cells)
     keys: list[Optional[str]] = [None] * len(cells)
+    memo = [obs is None and not cell.spec.validate and cell.workload_obj is None
+            for cell in cells]
     duplicates: dict[int, list[int]] = {}
     pending: list[int] = []
+    primary: dict[str, int] = {}
 
-    if cache is not None:
-        primary: dict[str, int] = {}
-        for i, cell in enumerate(cells):
-            key = cell_fingerprint(cell)
-            keys[i] = key
-            if key in primary:  # identical in-flight cell: coalesce
-                duplicates.setdefault(primary[key], []).append(i)
-                continue
-            cached = cache.get(key)
-            if cached is not None:
-                results[i] = cached
-                if on_result is not None:
-                    on_result(i, cached, True)
-            else:
-                primary[key] = i
-                pending.append(i)
-    else:
-        pending = list(range(len(cells)))
+    def memo_hit(i: int) -> Optional[SimResult]:
+        """Cell ``i``'s memoised result (also stored into a missing cache)."""
+        hit = _memo_get(keys[i]) if memo[i] else None
+        if hit is not None and cache is not None:
+            cache.put(keys[i], hit, meta={"workload": cells[i].workload})
+        return hit
+
+    for i, cell in enumerate(cells):
+        if cache is None and not memo[i]:
+            pending.append(i)
+            continue
+        key = keys[i] = cell_fingerprint(cell)
+        if cache is not None and key in primary:  # identical in-flight cell
+            duplicates.setdefault(primary[key], []).append(i)
+            continue
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            hit = memo_hit(i)
+        if hit is not None:
+            results[i] = hit
+            if on_result is not None:
+                on_result(i, hit, True)
+            continue
+        if cache is not None:
+            primary[key] = i
+        pending.append(i)
 
     prog = GridProgress(progress) if progress is not None else None
     if prog is not None:
@@ -523,14 +637,16 @@ def run_cells(
         results[i] = result
         if cache is not None:
             cache.put(keys[i], result, meta={"workload": cells[i].workload})
+        if memo[i]:
+            _memo_put(keys[i], result)
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
             prog.cell_finish(i, cells[i].workload, _cell_policy(i),
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
-            dup_result = cache.get(keys[dup]) if cache is not None else None
-            results[dup] = dup_result if dup_result is not None else result
+            dup_result = cache.get(keys[dup])
+            results[dup] = dup_result if dup_result is not None else copy(result)
             _COALESCED.inc()
             if on_result is not None:
                 on_result(dup, results[dup], True)
@@ -542,27 +658,27 @@ def run_cells(
     workers = min(jobs, len(pending))
     if workers <= 1:
         for i in pending:
+            # without a cache to coalesce them, in-batch duplicates reach
+            # this loop; the first one's result is in the memo by now
+            hit = memo_hit(i)
+            if hit is not None:
+                results[i] = hit
+                if on_result is not None:
+                    on_result(i, hit, True)
+                if prog is not None:
+                    prog.cell_finish(i, cells[i].workload, _cell_policy(i),
+                                     cached=True, instructions=hit.instructions)
+                continue
             if prog is not None:
                 prog.cell_start(i, cells[i].workload, _cell_policy(i))
             finish(i, execute_cell(cells[i], obs=obs))
     else:
-        if obs is not None and (obs.timeline is not None or obs.probe is not None):
-            raise ValueError(
-                "timeline/probe instruments are in-process only; run with jobs=1 "
-                "or pass an Observability bundle with just a journal"
-            )
-        journal = obs.journal if obs is not None else None
-        session = _SESSION
-        ephemeral = session is None
-        if ephemeral:
-            session = _GridSession(workers, shm if shm is not None else True)
-        try:
-            groups = _affine_groups(cells, pending)
+        def plan(session: _GridSession) -> list[_Chunk]:
             # split each workload's run into chunks small enough to load-
             # balance, but never split a chunk across workloads
             chunk_size = max(1, -(-len(pending) // (workers * 2)))
-            chunks: list[tuple[list[int], Optional[PackHandle], float]] = []
-            for indices, workload, warmup, sim in groups:
+            chunks: list[_Chunk] = []
+            for indices, workload, warmup, sim in _affine_groups(cells, pending):
                 handle = None
                 if session.store is not None:
                     handle = session.store.publish(workload, warmup, sim)
@@ -571,44 +687,12 @@ def run_cells(
                 records = handle.n_records if handle is not None else warmup + sim
                 for at in range(0, len(indices), chunk_size):
                     piece = indices[at:at + chunk_size]
-                    chunks.append((piece, handle, chunk_cost(cells, piece, records)))
-            chunks.sort(key=lambda c: -c[2])  # costliest first
-            pool = session.pool()
-            tracing = current_tracer() is not None
-            futures = {
-                pool.submit(
-                    _run_chunk_worker,
-                    [(i, cells[i]) for i in piece],
-                    (handle,) if handle is not None else (),
-                    journal is not None,
-                    handle is not None,
-                    session.trace_dir if tracing else None,
-                ): piece
-                for piece, handle, _cost in chunks
-            }
-            registry = get_metrics()
-            for future in as_completed(futures):
-                try:
-                    landed, delta = future.result()
-                except BaseException as exc:
-                    if prog is not None:
-                        prog.cell_failed(futures[future], exc)
-                    raise
-                # deltas are commutative/associative, so completion order —
-                # which varies run to run — cannot change the merged totals
-                registry.merge(delta)
-                for i, result in landed:
-                    finish(i, result)
-            if journal is not None:
-                from repro.obs.journal import merge_shards
+                    chunks.append((execute_cell, [(i, cells[i]) for i in piece],
+                                   (handle,) if handle is not None else (),
+                                   chunk_cost(cells, piece, records)))
+            return chunks
 
-                obs.runs += merge_shards(journal, session.shard_dir, consume=True)
-        finally:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.absorb_shards(session.trace_dir)
-            if ephemeral:
-                session.close()
+        _dispatch_chunks(workers, shm, obs, prog, finish, plan)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results
@@ -663,24 +747,12 @@ def build_mix_config(cell: MixCell) -> SimConfig:
     return config
 
 
-def execute_mix_cell(
-    cell: MixCell, *, obs: Optional["Observability"] = None,
-    force_packed: bool = False,
-) -> "MixResult":
-    """Run one mix cell in the current process (the `jobs=1` path).
-
-    ``force_packed`` routes the mix through the packed drive loop
-    (bit-identical by contract; see
-    :func:`repro.validate.check_mix_packed_matches_generator`) — set for
-    mixes dispatched to workers, so each core replays its shm-attached or
-    worker-local pack instead of regenerating records per policy.
-    """
+def execute_mix_cell(cell: MixCell, *, obs: Optional["Observability"] = None) -> "MixResult":
+    """Simulate one mix cell in the current process."""
     from repro.cpu.multicore import simulate_mix
 
     workloads = cell.resolve_workloads()
     config = build_mix_config(cell)
-    if force_packed and not config.packed:
-        config.packed = True
     policy = cell.policy or cell.spec.policy
     start = perf_counter()
     with trace_span("mix-cell", category="grid",
@@ -691,43 +763,8 @@ def execute_mix_cell(
                                       mix_id=cell.mix_id)
         else:
             result = simulate_mix(workloads, config, mix_id=cell.mix_id)
-    wall = perf_counter() - start
-    cells, instructions, wall_seconds, cell_seconds = _grid_metrics()
-    pid = str(os.getpid())
-    cells.inc(pid=pid)
-    instructions.inc(sum(r.instructions for r in result.results), pid=pid)
-    wall_seconds.inc(wall, pid=pid)
-    cell_seconds.observe(wall)
+    _record_cell(perf_counter() - start, sum(r.instructions for r in result.results))
     return result
-
-
-def _run_mix_chunk_worker(
-    items: Sequence[tuple[int, MixCell]],
-    handles: Sequence[PackHandle],
-    use_journal: bool,
-    force_packed: bool,
-    trace_dir: Optional[str] = None,
-) -> tuple[list[tuple[int, "MixResult"]], MetricsSnapshot]:
-    """Run one mix chunk in this worker process (mirrors _run_chunk_worker)."""
-    if handles:
-        install_attachments(handles)
-    if trace_dir is not None and current_tracer() is None:
-        install_tracer(Tracer(role="worker"))
-    registry = get_metrics()
-    mark = registry.snapshot()
-    obs = _chunk_obs() if use_journal else None
-    try:
-        out = [(i, execute_mix_cell(cell, obs=obs, force_packed=force_packed))
-               for i, cell in items]
-    finally:
-        if obs is not None:
-            obs.close()
-    delta = registry.snapshot().delta(mark)
-    if trace_dir is not None:
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.flush_shard(trace_dir)
-    return out, delta
 
 
 #: callback fired as each mix's result lands: (cell index, result, cached?)
@@ -750,9 +787,8 @@ def run_mix_cells(
     other work.  The parent publishes every mix workload's pack (at its
     QMM-halved window where applicable) through the session's shared store
     exactly once — mixes overlap heavily in workloads, so later mixes attach
-    the columns the first one paid for.  Worker-dispatched mixes run the
-    packed drive loop (bit-identical to the serial generator loop); there is
-    no result cache at the mix level — the cacheable unit is the *isolation*
+    the columns the first one paid for.  There is no result cache at the
+    mix level — the cacheable unit is the *isolation*
     run, which is an ordinary :class:`Cell`.
     """
     cells = list(cells)
@@ -782,18 +818,8 @@ def run_mix_cells(
                 prog.cell_start(i, cells[i].label(), _policy(i))
             finish(i, execute_mix_cell(cells[i], obs=obs))
     else:
-        if obs is not None and (obs.timeline is not None or obs.probe is not None):
-            raise ValueError(
-                "timeline/probe instruments are in-process only; run with jobs=1 "
-                "or pass an Observability bundle with just a journal"
-            )
-        journal = obs.journal if obs is not None else None
-        session = _SESSION
-        ephemeral = session is None
-        if ephemeral:
-            session = _GridSession(workers, shm if shm is not None else True)
-        try:
-            chunks: list[tuple[int, tuple[PackHandle, ...], float]] = []
+        def plan(session: _GridSession) -> list[_Chunk]:
+            chunks: list[_Chunk] = []
             for i, cell in enumerate(cells):
                 handles: list[PackHandle] = []
                 config = build_mix_config(cell)
@@ -812,44 +838,11 @@ def run_mix_cells(
                     records = (handle.n_records if handle is not None
                                else warmup + sim)
                     cost += records * weight
-                chunks.append((i, tuple(handles), cost))
-            # a mix's wall-clock tracks its total per-core record mass —
-            # dispatch the heaviest mixes first so they never land last
-            chunks.sort(key=lambda c: -c[2])
-            pool = session.pool()
-            tracing = current_tracer() is not None
-            futures = {
-                pool.submit(
-                    _run_mix_chunk_worker,
-                    [(i, cells[i])],
-                    handles,
-                    journal is not None,
-                    True,  # workers always run the packed mix loop
-                    session.trace_dir if tracing else None,
-                ): [i]
-                for i, handles, _cost in chunks
-            }
-            registry = get_metrics()
-            for future in as_completed(futures):
-                try:
-                    landed, delta = future.result()
-                except BaseException as exc:
-                    if prog is not None:
-                        prog.cell_failed(futures[future], exc)
-                    raise
-                registry.merge(delta)
-                for i, result in landed:
-                    finish(i, result)
-            if journal is not None:
-                from repro.obs.journal import merge_shards
+                # a mix's wall-clock tracks its total per-core record mass
+                chunks.append((execute_mix_cell, [(i, cell)], tuple(handles), cost))
+            return chunks
 
-                obs.runs += merge_shards(journal, session.shard_dir, consume=True)
-        finally:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.absorb_shards(session.trace_dir)
-            if ephemeral:
-                session.close()
+        _dispatch_chunks(workers, shm, obs, prog, finish, plan)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results

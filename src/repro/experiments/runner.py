@@ -64,12 +64,8 @@ class RunSpec:
     #: a validated run produces the same SimResult, so the result cache
     #: deliberately ignores this knob — see `cell_fingerprint`)
     validate: bool = False
-    #: drive each run through the packed fast path (bit-identical results;
-    #: like `validate`, excluded from the cell fingerprint)
-    packed: bool = False
-    #: packed kernel tier ("fused", "vectorized", or "auto"); anything but
-    #: "fused" implies the packed path and — being bit-identical — is also
-    #: excluded from the cell fingerprint
+    #: packed kernel tier ("fused", "vectorized", or "auto"); being
+    #: bit-identical, like `validate` it is excluded from the cell fingerprint
     kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`); a
     #: sampled result approximates the full window, so — unlike the
@@ -102,7 +98,6 @@ class RunSpec:
             large_page_fraction=self.large_page_fraction,
             prefetcher_extra_storage=ISO_STORAGE_BYTES if self.policy.lower().startswith("iso") else 0,
             validate=self.validate,
-            packed=self.packed,
             kernel=self.kernel,
             sampling=self.sampling,
         )
@@ -144,23 +139,16 @@ def run_many(
 ) -> list[SimResult]:
     """Run a spec across workloads (optionally reporting per-run progress).
 
-    ``jobs`` > 1 fans the runs out to worker processes and ``cache`` serves
-    previously simulated cells from disk (see
-    :mod:`repro.experiments.parallel`); results always come back in workload
-    order, identical to a serial run.  With parallel/cached execution,
-    ``progress`` fires in completion order rather than input order.
-    ``shm=None`` shares packed traces through the zero-copy store whenever
-    ``jobs>1`` (``False`` forces per-worker packing).
+    The runs lower to grid cells executed by
+    :func:`~repro.experiments.parallel.run_cells`: ``jobs`` > 1 fans them out
+    to worker processes, ``cache`` serves previously simulated cells from
+    disk, and a cell already simulated in this process is served from the
+    in-process result memo.  Results always come back in workload order,
+    identical to a serial run.  With parallel execution, ``progress`` fires
+    in completion order rather than input order.  ``shm=None`` shares
+    packed traces through the zero-copy store whenever ``jobs>1``
+    (``False`` forces per-worker packing).
     """
-    if jobs == 1 and cache is None:
-        results = []
-        for workload in workloads:
-            result = run_one(workload, spec, obs=obs)
-            results.append(result)
-            if progress is not None:
-                progress(workload.name, result)
-        return results
-
     from repro.experiments.parallel import cell_for, grid_session, run_cells
 
     cells = [cell_for(workload, spec) for workload in workloads]
@@ -202,11 +190,6 @@ def run_policies(
     if prefetcher is not None:
         spec = replace(spec, prefetcher=prefetcher)
     policy_specs = {policy: replace(spec, policy=policy) for policy in policies}
-    if jobs == 1 and cache is None and progress is None:
-        return {
-            policy: run_many(workloads, policy_spec, obs=obs)
-            for policy, policy_spec in policy_specs.items()
-        }
 
     from repro.experiments.parallel import cell_for, grid_session, run_cells
 

@@ -50,8 +50,11 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
+# one ``sampled`` increment per sampled run (the per-representative drives
+# additionally count under their kernel's mode)
+from repro.cpu.simulator import DRIVES as _DRIVES
+from repro.cpu.simulator import packed_driver
 from repro.experiments.stats_ci import BootstrapInterval, bootstrap_statistic
-from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_span
 from repro.workloads.packed import PackedTrace, get_packed
 from repro.workloads.trace import BRANCH, MISPREDICT
@@ -60,12 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.simulator import SimConfig, SimResult
     from repro.obs import Observability
     from repro.workloads.trace import Workload
-
-#: same instrument the drive loops increment; one per *sampled run* (the
-#: per-representative drives additionally count under their kernel's mode)
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 #: signature feature names, in matrix-column order (docs + introspection)
 SIGNATURE_FEATURES = (
@@ -349,21 +346,6 @@ def _sub_pack(packed: PackedTrace, first: int, last: int, *,
     )
 
 
-def _drive_for_kernel(engine, packed: PackedTrace, config: "SimConfig") -> float:
-    """Route one packed drive through the spec'd kernel tier (like simulate)."""
-    if config.kernel == "vectorized":
-        from repro.cpu.fastpath_vec import drive_packed_vec
-
-        return drive_packed_vec(engine, packed, config)
-    if config.kernel == "auto":
-        from repro.cpu.fastpath_vec import drive_packed_auto
-
-        return drive_packed_auto(engine, packed, config)
-    from repro.cpu.fastpath import drive_packed
-
-    return drive_packed(engine, packed, config)
-
-
 def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
                   config: "SimConfig",
                   obs: Optional["Observability"] = None):
@@ -427,7 +409,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
         with trace_span("phase", workload=workload_name, phase=j,
                         representative=rep, weight=phase.instructions,
                         warmup=sub_warm, sim=inst):
-            wall += _drive_for_kernel(engine, sub, sub_config)
+            wall += packed_driver(sub_config.kernel)(engine, sub, sub_config)
         result = collect_result(engine, workload_name, sub_config)
         if checker is not None:
             checker.check_final(engine, result)

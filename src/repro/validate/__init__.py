@@ -9,7 +9,9 @@ Two complementary layers guard the simulator's headline counters:
 * :func:`run_validation_suite` (:mod:`repro.validate.differential`) runs
   metamorphic checks over the production code paths — determinism,
   parallel == serial, shm grid == serial, discard == source suppression,
-  epoch invariance, packed == generator (single-core and per mix core),
+  epoch invariance, packed kernel == generator oracle
+  (:func:`simulate_generator`, :func:`simulate_mix_generator`; single-core
+  and per mix core),
   sampled-within-error-bound against a full run
   (:func:`check_sampled_matches_full`), a clean invariant pass per
   (workload × policy), and
@@ -25,6 +27,8 @@ from repro.validate.differential import (
     check_shm_grid_matches_serial,
     result_diff,
     run_validation_suite,
+    simulate_generator,
+    simulate_mix_generator,
 )
 from repro.validate.invariants import InvariantChecker, InvariantViolation
 from repro.validate.mutation import reintroduce_stale_mshr_bug
@@ -40,4 +44,6 @@ __all__ = [
     "reintroduce_stale_mshr_bug",
     "result_diff",
     "run_validation_suite",
+    "simulate_generator",
+    "simulate_mix_generator",
 ]

@@ -19,13 +19,15 @@ field by field:
 * **epoch invariance** — for epoch-independent policies (discard, permit),
   changing ``epoch_instructions`` must not change any counter: epoch ends
   are bookkeeping, not events;
-* **packed-vs-generator** — driving through the packed-trace fast path
-  (``SimConfig(packed=True)``) is bit-identical to the generator drive
-  loop for every fuzz prefetcher under discard and DRIPPER;
-* **mix-packed-vs-generator** — the packed multi-core mix loop
-  (:func:`repro.cpu.multicore.simulate_mix` with ``packed=True``) equals
-  the generator mix loop per core, on a mix whose QMM core (halved
-  budgets) finishes early and replays through the overflow seam;
+* **packed-vs-generator** — the production packed kernel
+  (:func:`~repro.cpu.simulator.simulate`) is bit-identical to the
+  generator oracle (:func:`~repro.cpu.simulator.drive`, one
+  ``engine.step`` per record) for every fuzz prefetcher under discard and
+  DRIPPER;
+* **mix-packed-vs-generator** — the production packed mix loop
+  (:func:`repro.cpu.multicore.simulate_mix`) equals the generator mix
+  oracle (``_drive_mix_generator``) per core, on a mix whose QMM core
+  (halved budgets) finishes early and replays through the overflow seam;
 * **vectorized-vs-fused** — the span-skipping vectorized kernel tier
   (``SimConfig(kernel="vectorized")``) equals the fused tier across its
   fallback seams: epoch rollovers mid-span, event-dense windows, runs with
@@ -45,7 +47,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.policies import PermitPgc
 from repro.cpu.simulator import SimConfig, SimResult, build_engine, collect_result, drive, simulate
-from repro.experiments.parallel import cell_for, run_cells
+from repro.experiments.parallel import cell_for, clear_result_memo, run_cells
 from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.prefetch import make_l1d_prefetcher
@@ -118,6 +120,23 @@ class _SuppressCrossPage(L1dPrefetcher):
         self.inner.on_fill(vaddr, latency)
 
 
+def simulate_generator(workload: Any, config: SimConfig) -> SimResult:
+    """The generator oracle: ``simulate`` driven by :func:`drive` instead of
+    the packed kernel (no sampling, observability or validation)."""
+    engine = build_engine(config)
+    drive(engine, workload, config)
+    return collect_result(engine, workload.name, config)
+
+
+def simulate_mix_generator(workloads: Sequence[Any], config: SimConfig) -> list[SimResult]:
+    """The mix oracle: ``simulate_mix`` driven by ``_drive_mix_generator``."""
+    from repro.cpu.multicore import _drive_mix_generator, build_mix
+
+    engines, budgets, core_configs = build_mix(workloads, config)
+    finished = _drive_mix_generator(engines, workloads, budgets, core_configs)
+    return [r for r in finished if r is not None]
+
+
 def _spec(prefetcher: str, policy: str, warmup: int, sim: int, **overrides: Any) -> RunSpec:
     return RunSpec(
         prefetcher=prefetcher,
@@ -163,7 +182,10 @@ def check_parallel_matches_serial(workload_names: Sequence[str], *,
         )
         cells.append(cell_for(workload, spec,
                               epoch_instructions=rng.choice(_FUZZ_EPOCHS)))
+    # both legs must simulate: drop memoised results before each
+    clear_result_memo()
     serial = run_cells(cells, jobs=1)
+    clear_result_memo()
     parallel = run_cells(cells, jobs=max(2, jobs))
     name = f"parallel-vs-serial[{fuzz_cells} cells]"
     for i, (a, b) in enumerate(zip(serial, parallel)):
@@ -234,7 +256,7 @@ def check_epoch_invariance(workload_name: str, *, prefetcher: str,
 
 def check_packed_matches_generator(workload_name: str, *, warmup: int,
                                    sim: int) -> list[CheckOutcome]:
-    """The packed fast path equals the generator drive loop bit-for-bit.
+    """The packed kernel equals the generator oracle bit-for-bit.
 
     Covers every fuzz prefetcher under both a static policy (discard) and
     the epoch-adaptive one (dripper) — the two exercise disjoint sets of
@@ -251,8 +273,8 @@ def check_packed_matches_generator(workload_name: str, *, warmup: int,
             config = spec.config_for(workload)
             if epoch is not None:
                 config = replace(config, epoch_instructions=epoch)
-            generator = simulate(workload, config)
-            packed = simulate(workload, replace(config, packed=True))
+            generator = simulate_generator(workload, config)
+            packed = simulate(workload, config)
             diffs = result_diff(generator, packed)
             tag = f"{policy}@{epoch}" if epoch is not None else policy
             name = f"packed-vs-generator[{workload_name}/{prefetcher}/{tag}]"
@@ -274,7 +296,7 @@ def check_packed_matches_generator(workload_name: str, *, warmup: int,
         config = spec.config_for(workload)
         if epoch is not None:
             config = replace(config, epoch_instructions=epoch)
-        generator = simulate(workload, config)
+        generator = simulate_generator(workload, config)
         vectorized = simulate(workload, replace(config, kernel="vectorized"))
         diffs = result_diff(generator, vectorized)
         tag = f"{policy}@{epoch}" if epoch is not None else policy
@@ -319,7 +341,7 @@ def check_vectorized_matches_fused(workload_name: str, *, warmup: int,
     for wname, prefetcher, policy, overrides in cells:
         workload = by_name(wname)
         config = _spec(prefetcher, policy, warmup, sim).config_for(workload)
-        config = replace(config, packed=True, **overrides)
+        config = replace(config, **overrides)
         fused = simulate(workload, config)
         vectorized = simulate(workload, replace(config, kernel="vectorized"))
         diffs = result_diff(fused, vectorized)
@@ -335,7 +357,7 @@ def check_vectorized_matches_fused(workload_name: str, *, warmup: int,
     workload = by_name("hot_0")
     srrip = replace(DEFAULT_PARAMS, l1d=replace(DEFAULT_PARAMS.l1d, replacement="srrip"))
     config = replace(_spec("none", "discard", warmup, sim).config_for(workload),
-                     packed=True, params=srrip)
+                     params=srrip)
     fused = simulate(workload, config)
     vectorized = simulate(workload, replace(config, kernel="vectorized"))
     diffs = result_diff(fused, vectorized)
@@ -407,7 +429,7 @@ def check_sampled_matches_full(
 
 def check_mix_packed_matches_generator(*, warmup: int, sim: int,
                                        cores: int = 4) -> list[CheckOutcome]:
-    """The packed mix drive loop equals the generator mix loop per core.
+    """The packed mix drive loop equals the generator mix oracle per core.
 
     The mix deliberately includes a QMM workload: its per-core budgets are
     halved by ``simulate_mix``, so that core finishes early and *replays*
@@ -427,11 +449,11 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
     outcomes = []
     for policy in ("discard", "dripper"):
         config = _spec("berti", policy, warmup, sim).base_config()
-        generator = simulate_mix(mix, config)
-        packed = simulate_mix(mix, replace(config, packed=True))
+        generator = simulate_mix_generator(mix, config)
+        packed = simulate_mix(mix, config)
         name = f"mix-packed-vs-generator[{tag}/{policy}]"
         failed = False
-        for core, (a, b) in enumerate(zip(generator.results, packed.results)):
+        for core, (a, b) in enumerate(zip(generator, packed.results)):
             diffs = result_diff(a, b)
             if diffs:
                 outcomes.append(CheckOutcome(
@@ -443,7 +465,7 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
             outcomes.append(CheckOutcome(
                 name, True,
                 f"{len(mix)} cores identical, weighted "
-                f"ipcs {[round(r.ipc, 3) for r in generator.results]}"))
+                f"ipcs {[round(r.ipc, 3) for r in generator]}"))
     return outcomes
 
 
@@ -466,7 +488,9 @@ def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
         for name in workload_names
         for policy in policies
     ]
+    clear_result_memo()
     serial = run_cells(cells, jobs=1)
+    clear_result_memo()
     with grid_session(max(2, jobs), True):
         shared = run_cells(cells, jobs=max(2, jobs), shm=True)
     name = f"shm-grid-vs-serial[{len(cells)} cells]"

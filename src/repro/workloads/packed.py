@@ -34,6 +34,7 @@ from array import array
 from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
+from repro.workloads.registry import by_name
 from repro.workloads.trace import (
     BRANCH,
     DEPENDS,
@@ -252,25 +253,41 @@ class PackedWorkload:
         return self.packed.records()
 
 
-def _pack_key(workload: Workload, warmup: int, sim: int) -> tuple:
-    """Identity key for the pack cache.
+def stable_identity(workload: Workload) -> Optional[tuple]:
+    """A name for ``workload`` that every process agrees on, or None.
 
-    Registry workloads are identified by (name, suite, seed) — the registry
-    builds each exactly once per process and generation is seed-deterministic.
-    File-backed workloads key on their path; anything else falls back to the
-    object id.  An id-keyed entry only hits while the caller holds the same
-    object, and — because CPython recycles ``id()`` as soon as the object is
-    collected — it is only *valid* that long too: :func:`get_packed` pins a
-    weak reference whose death callback drops the entry, so a recycled id
-    can never serve a stale pack (and unreferenceable objects are simply
-    not cached).
+    File workloads are named by path, and only the registry's own objects
+    (``by_name(name) is workload``) by registry name: an ad-hoc workload
+    sharing a registry workload's name, suite and seed may have other
+    phases.  Anything else is only itself (key it by ``id()``, or not at all).
     """
-    seed = getattr(workload, "seed", None)
     path = getattr(workload, "path", None)
-    if seed is None and path is None:
-        return (id(workload), warmup, sim)
-    return (type(workload).__name__, workload.name,
-            getattr(workload, "suite", ""), seed, str(path), warmup, sim)
+    if path is not None:
+        return ("file", str(path))
+    name = getattr(workload, "name", None)
+    try:
+        if isinstance(name, str) and by_name(name) is workload:
+            return ("registry", name)
+    except KeyError:
+        pass
+    return None
+
+
+def _pack_key(workload: Workload, warmup: int, sim: int) -> tuple:
+    """Identity key for the pack cache: :func:`stable_identity` + window.
+
+    Workloads without a stable identity fall back to the object id.  An
+    id-keyed entry only hits while the caller holds the same object, and —
+    because CPython recycles ``id()`` as soon as the object is collected —
+    it is only *valid* that long too: :func:`get_packed` pins a weak
+    reference whose death callback drops the entry, so a recycled id can
+    never serve a stale pack (and unreferenceable objects are simply not
+    cached).
+    """
+    identity = stable_identity(workload)
+    if identity is None:
+        return ("id", id(workload), warmup, sim)
+    return (*identity, warmup, sim)
 
 
 _PACK_CACHE: OrderedDict[tuple, PackedTrace] = OrderedDict()
@@ -435,9 +452,7 @@ def get_packed(workload: Workload, warmup: int, sim: int, *,
 
     with trace_span("pack", workload=workload.name, warmup=warmup, sim=sim):
         packed = PackedTrace.from_workload(workload, warmup, sim)
-    anonymous = getattr(workload, "seed", None) is None and \
-        getattr(workload, "path", None) is None
-    if anonymous:
+    if key[0] == "id":
         # id-keyed entries are only valid while the workload object lives:
         # CPython recycles id() after collection, so pin a weak reference
         # whose death callback drops the entry first.  Objects that cannot

@@ -116,11 +116,12 @@ def _column_offsets(n: int) -> tuple[int, int, int, int, int]:
 def _publishable(key: tuple) -> bool:
     """Only identity-keyed packs can be served across processes.
 
-    ``_pack_key`` falls back to ``id(workload)`` for objects without a seed
-    or path; that key never matches the one a worker computes for its own
-    copy of the workload, so publishing it would be dead weight.
+    ``_pack_key`` falls back to ``id(workload)`` for objects that are neither
+    registry workloads nor file-backed; that key never matches the one a
+    worker computes for its own copy of the workload, so publishing it
+    would be dead weight.
     """
-    return len(key) == 7
+    return key[0] != "id"
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -186,7 +187,8 @@ class SharedPackStore:
         """Pack ``workload`` (once) and publish its columns; returns a handle.
 
         Returns ``None`` for workloads without a cross-process identity
-        (no seed/path — see ``_pack_key``) and for empty packs; callers fall
+        (neither registry nor file-backed — see ``_pack_key``) and for
+        empty packs; callers fall
         back to worker-local packing, which stays bit-identical.
         """
         if self._closed:

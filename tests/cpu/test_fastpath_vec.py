@@ -18,7 +18,7 @@ from repro.workloads.shm import SharedPackStore, detach_all, install_attachments
 def config(**overrides):
     base = dict(
         prefetcher="none", policy_factory=DiscardPgc,
-        warmup_instructions=2_000, sim_instructions=6_000, packed=True,
+        warmup_instructions=2_000, sim_instructions=6_000,
     )
     base.update(overrides)
     return SimConfig(**base)

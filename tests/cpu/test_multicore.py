@@ -7,11 +7,15 @@ import pytest
 from repro.core.policies import DiscardPgc
 from repro.cpu.multicore import (
     MixResult,
+    _drive_mix_generator,
+    build_mix,
     isolation_ipc,
     simulate_mix,
     weighted_speedup,
 )
 from repro.cpu.simulator import SimConfig, simulate
+from repro.validate import simulate_mix_generator
+from repro.workloads import by_name
 from repro.workloads.patterns import Gather, Stream
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -95,7 +99,7 @@ def qmm_workload(name="qmmish", seed=5):
 
 
 class TestConfigKnobs:
-    """simulate_mix used to silently ignore kernel/packed/validate."""
+    """simulate_mix used to silently ignore kernel/validate."""
 
     def test_unknown_kernel_rejected(self):
         mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
@@ -107,9 +111,9 @@ class TestConfigKnobs:
         # replay, pushing the packed loop through the overflow seam
         mix = [qmm_workload(), *(workload(f"w{i}", i + 1, footprint_pages=128)
                                  for i in range(3))]
-        generator = simulate_mix(mix, quick_config())
-        packed = simulate_mix(mix, replace(quick_config(), packed=True))
-        for a, b in zip(generator.results, packed.results):
+        generator = simulate_mix_generator(mix, quick_config())
+        packed = simulate_mix(mix, quick_config())
+        for a, b in zip(generator, packed.results):
             assert a == b
 
     def test_vectorized_kernel_implies_packed(self, monkeypatch):
@@ -159,8 +163,8 @@ class TestHeapOrder:
         a = simulate_mix(mix, quick_config())
         b = simulate_mix(mix, quick_config())
         assert [r.ipc for r in a.results] == [r.ipc for r in b.results]
-        packed = simulate_mix(mix, replace(quick_config(), packed=True))
-        assert [r.ipc for r in packed.results] == [r.ipc for r in a.results]
+        oracle = simulate_mix_generator(mix, quick_config())
+        assert [r.ipc for r in oracle] == [r.ipc for r in a.results]
 
 
 class TestWeightedSpeedupCanonical:
@@ -195,8 +199,10 @@ class TestMixTelemetry:
 
         mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
         before = get_metrics().snapshot()
+        # the generator loop only runs as the oracle, called by name
+        engines, budgets, core_configs = build_mix(mix, quick_config())
+        _drive_mix_generator(engines, mix, budgets, core_configs)
         simulate_mix(mix, quick_config())
-        simulate_mix(mix, replace(quick_config(), packed=True))
         after = get_metrics().snapshot()
         assert mode_count(after, "mix-generator") == mode_count(before, "mix-generator") + 1
         assert mode_count(after, "mix-packed") == mode_count(before, "mix-packed") + 1
@@ -282,7 +288,8 @@ class TestOverflowTailCache:
         from repro.cpu.fastpath_mix import (
             _TAIL_CACHE, _overflow_iterator, _tail_records,
         )
-        w = workload("tailed", 21)
+        # only registry (and file) workloads have an identity to cache under
+        w = by_name("astar")
         want = list(islice(_overflow_iterator(w, 100), 500))
         # cold pass populates the cache, warm pass replays it
         assert list(islice(_tail_records(w, 100), 500)) == want
@@ -312,14 +319,28 @@ class TestOverflowTailCache:
         from itertools import islice
         from repro.cpu import fastpath_mix
         monkeypatch.setattr(fastpath_mix, "_TAIL_RECORD_CAP", 8)
-        w = workload("capped", 22)
+        w = by_name("mcf")
         want = list(islice(fastpath_mix._overflow_iterator(w, 10), 40))
         assert list(islice(fastpath_mix._tail_records(w, 10), 40)) == want
         (tail,) = fastpath_mix._TAIL_CACHE.values()
         assert len(tail.records) == 8
 
     def test_mix_results_identical_with_warm_tails(self):
-        mix = [workload(f"m{i}", i + 40) for i in range(3)] + [qmm_workload()]
+        from repro.cpu import fastpath_mix
+
+        mix = [by_name(n) for n in ("astar", "hmmer", "mcf", "qmm_int_13")]
         cold = simulate_mix(mix, quick_config())
+        assert fastpath_mix._TAIL_CACHE  # the QMM core replayed past its pack
         warm = simulate_mix(mix, quick_config())
         assert [r.ipc for r in cold.results] == [r.ipc for r in warm.results]
+
+    def test_adhoc_workloads_sharing_a_name_get_their_own_tails(self):
+        from itertools import islice
+        from repro.cpu.fastpath_mix import _overflow_iterator, _tail_records
+
+        a = workload("twin", 5)
+        b = workload("twin", 5, pattern=Gather, footprint_pages=64)
+        assert list(islice(_tail_records(a, 10), 50)) == list(
+            islice(_overflow_iterator(a, 10), 50))
+        assert list(islice(_tail_records(b, 10), 50)) == list(
+            islice(_overflow_iterator(b, 10), 50))

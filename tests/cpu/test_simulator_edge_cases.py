@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.policies import DiscardPgc, PermitPgc
 from repro.cpu.simulator import SimConfig, simulate
+from repro.validate import result_diff, simulate_generator
 from repro.workloads.patterns import Stream
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -67,10 +68,10 @@ class TestMeasurementWindow:
     def test_gap_overshoot_matches_packed_path(self):
         config = SimConfig(
             policy_factory=DiscardPgc, warmup_instructions=1_500, sim_instructions=3_000,
-            packed=True,
         )
-        result = simulate(HighGapWorkload(), config)
-        assert result.instructions >= 3_000
+        oracle = simulate_generator(HighGapWorkload(), config)
+        assert oracle.instructions >= 3_000
+        assert result_diff(oracle, simulate(HighGapWorkload(), config)) == {}
 
 
 class TestConfigVariants:

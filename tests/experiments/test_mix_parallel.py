@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.parallel import (
     build_mix_config,
+    clear_result_memo,
     grid_session,
     mix_cell_for,
     run_mix_cells,
@@ -90,7 +91,8 @@ class TestFig19:
         kwargs = dict(n_mixes=2, cores=2, warmup_instructions=1_000,
                       sim_instructions=3_000, seed=3)
         serial = fig19_multicore(**kwargs)
-        parallel = fig19_multicore(**kwargs, jobs=2, packed=True)
+        clear_result_memo()  # the parallel isolation cells must simulate too
+        parallel = fig19_multicore(**kwargs, jobs=2)
         assert serial == parallel
         assert set(serial) == {"permit", "dripper"}
         assert len(serial["dripper"]["per_mix_pct"]) == 2

@@ -8,6 +8,7 @@ from repro.experiments.parallel import (
     _affine_groups,
     cell_for,
     chunk_cost,
+    clear_result_memo,
     grid_session,
     policy_cost_weight,
     run_cells,
@@ -62,12 +63,14 @@ class TestSerialParallelEquivalence:
         # the acceptance grid: 2 policies x 4 workloads
         workloads = _workloads()
         serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST)
+        clear_result_memo()  # the parallel leg must simulate too
         parallel = run_policies(workloads, ["discard", "permit"], base_spec=FAST, jobs=4)
         assert parallel == serial  # SimResult dataclass equality, field-exact
 
     def test_run_many_order_preserved(self):
         workloads = _workloads()
         serial = run_many(workloads, FAST)
+        clear_result_memo()
         parallel = run_many(workloads, FAST, jobs=3)
         assert parallel == serial
         assert [r.workload for r in parallel] == list(GRID_WORKLOADS)
@@ -84,6 +87,7 @@ class TestSerialParallelEquivalence:
         workloads = _workloads(("astar", "hmmer"))
         serial = sweep_parameter(workloads, dram_latency_transform, (100, 300),
                                  policies=("permit",), base_spec=FAST)
+        clear_result_memo()
         parallel = sweep_parameter(workloads, dram_latency_transform, (100, 300),
                                    policies=("permit",), base_spec=FAST, jobs=2)
         assert parallel == serial
@@ -255,6 +259,7 @@ class TestCostAwareScheduling:
         cells += [cell_for(by_name("astar"), long_spec, policy="dripper")]
         cells += [cell_for(by_name("mcf"), FAST, policy="discard")]
         serial = run_cells(cells, jobs=1)
+        clear_result_memo()
         parallel = run_cells(cells, jobs=2)
         assert [r.__dict__ for r in parallel] == [r.__dict__ for r in serial]
 
@@ -269,6 +274,7 @@ class TestSharedMemoryGrid:
             for p in ("discard", "dripper")
         ]
         serial = run_cells(cells, jobs=1)
+        clear_result_memo()
         shared = run_cells(cells, jobs=2, shm=True)
         assert shared == serial
         assert live_segments() == []
@@ -280,7 +286,10 @@ class TestSharedMemoryGrid:
                  for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
         with grid_session(2, True) as session:
+            # both batches must reach the workers, not the result memo
+            clear_result_memo()
             first = run_cells(cells, jobs=2)
+            clear_result_memo()
             second = run_cells(cells, jobs=2)
             assert len(session.store.handles()) == 1  # published once
         assert first == serial and second == serial
@@ -288,11 +297,14 @@ class TestSharedMemoryGrid:
 
     def test_no_shm_still_matches_serial(self):
         cells = [cell_for(by_name(w), FAST) for w in ("astar", "hmmer")]
-        assert run_cells(cells, jobs=2, shm=False) == run_cells(cells, jobs=1)
+        parallel = run_cells(cells, jobs=2, shm=False)
+        clear_result_memo()
+        assert parallel == run_cells(cells, jobs=1)
 
     def test_run_policies_shm_matches_serial(self):
         workloads = _workloads(("astar", "hmmer"))
         serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST)
+        clear_result_memo()
         shared = run_policies(workloads, ["discard", "permit"], base_spec=FAST,
                               jobs=2, shm=True)
         assert shared == serial
@@ -373,6 +385,7 @@ class TestGridTelemetry:
 
         cells = [cell_for(w, FAST) for w in _workloads(("astar",))]
         plain = run_cells(cells, jobs=1)
+        clear_result_memo()  # the traced leg must simulate too
         tracer = Tracer(role="parent")
         previous = install_tracer(tracer)
         try:
@@ -386,9 +399,98 @@ class TestGridTelemetry:
 
         cells = [cell_for(w, FAST) for w in _workloads(("astar", "hmmer"))]
         plain = run_cells(cells, jobs=2)
+        clear_result_memo()
         previous = install_tracer(Tracer(role="parent"))
         try:
             traced = run_cells(cells, jobs=2)
         finally:
             install_tracer(previous)
         assert plain == traced
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Count the cells that really simulate (not served by memo or cache)."""
+    from repro.experiments import parallel
+
+    calls = []
+    real = parallel.simulate
+
+    def counting(workload, config, **kwargs):
+        calls.append(workload.name)
+        return real(workload, config, **kwargs)
+
+    monkeypatch.setattr(parallel, "simulate", counting)
+    return calls
+
+
+class TestResultMemo:
+    def test_repeated_cell_simulates_once_per_process(self, simulations):
+        cells = [cell_for(by_name("astar"), FAST)]
+        first = run_cells(cells)
+        second = run_many(_workloads(("astar",)), FAST)
+        assert simulations == ["astar"]
+        assert second == first
+
+    def test_hit_is_equal_but_independent(self, simulations):
+        cells = [cell_for(by_name("astar"), FAST)]
+        (original,) = run_cells(cells)
+        want = original.ipc
+        original.ipc = -1.0  # caller mutates the result it was handed
+        (hit,) = run_cells(cells)
+        assert hit.ipc == want and hit is not original
+        hit.ipc = -2.0  # ...and the one served from the memo
+        (again,) = run_cells(cells)
+        assert again.ipc == want and again is not hit
+        assert simulations == ["astar"]
+
+    def test_in_batch_duplicate_served_serially(self, simulations):
+        cells = [cell_for(by_name("astar"), FAST)] * 2
+        a, b = run_cells(cells)
+        assert simulations == ["astar"]
+        assert a == b and a is not b
+
+    def test_observed_validated_and_adhoc_cells_always_simulate(self, simulations, tmp_path):
+        from dataclasses import replace
+
+        from repro.workloads.synthetic import SyntheticWorkload
+
+        registry = [cell_for(by_name("astar"), FAST)]
+        run_cells(registry)
+        obs = Observability(journal=RunJournal(tmp_path / "runs.jsonl"))
+        run_cells(registry, obs=obs)
+        obs.close()
+        run_cells([cell_for(by_name("astar"), replace(FAST, validate=True))])
+        astar = by_name("astar")
+        adhoc = SyntheticWorkload(astar.name, astar.suite, astar.seed, astar.phases)
+        run_cells([cell_for(adhoc, FAST)])
+        run_cells([cell_for(adhoc, FAST)])
+        assert simulations == ["astar"] * 5
+        assert len(read_journal(tmp_path / "runs.jsonl")) == 1
+
+    def test_capacity_bound_evicts_least_recent(self, simulations, monkeypatch):
+        from repro.experiments import parallel
+
+        monkeypatch.setattr(parallel, "_MEMO_CAPACITY", 2)
+        cells = [cell_for(by_name(w), FAST) for w in ("astar", "hmmer", "mcf")]
+        for cell in cells:
+            run_cells([cell])
+        assert len(parallel._RESULT_MEMO) == 2
+        run_cells([cells[2]])  # still memoised
+        run_cells([cells[0]])  # evicted: simulates again
+        assert simulations == ["astar", "hmmer", "mcf", "astar"]
+
+    def test_memo_hit_still_fills_a_missing_cache(self, simulations, tmp_path):
+        cells = [cell_for(by_name("astar"), FAST)]
+        run_cells(cells)
+        cache = ResultCache(tmp_path)
+        run_cells(cells, cache=cache)
+        assert simulations == ["astar"]
+        assert cache.stats == {"hits": 0, "misses": 1, "stores": 1}
+
+    def test_clear_result_memo_forces_resimulation(self, simulations):
+        cells = [cell_for(by_name("astar"), FAST)]
+        run_cells(cells)
+        clear_result_memo()
+        run_cells(cells)
+        assert simulations == ["astar", "astar"]

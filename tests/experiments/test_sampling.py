@@ -27,7 +27,7 @@ TOY = SamplingConfig(intervals=16, phases=4, warmup_fraction=0.5)
 
 def _spec(**overrides) -> RunSpec:
     base = dict(warmup_instructions=WARM, sim_instructions=SIM,
-                policy="dripper", packed=True, sampling=TOY)
+                policy="dripper", sampling=TOY)
     base.update(overrides)
     return RunSpec(**base)
 
@@ -35,7 +35,7 @@ def _spec(**overrides) -> RunSpec:
 def _config(**overrides) -> SimConfig:
     base = dict(warmup_instructions=WARM, sim_instructions=SIM,
                 policy_factory=policy_factory("dripper", "berti"),
-                packed=True, sampling=TOY)
+                sampling=TOY)
     base.update(overrides)
     return SimConfig(**base)
 
@@ -180,5 +180,5 @@ class TestFingerprint:
         a = cell_fingerprint(cell_for(wl, spec))
         b = cell_fingerprint(cell_for(wl, RunSpec(
             warmup_instructions=WARM, sim_instructions=SIM,
-            policy="dripper", packed=True)))
+            policy="dripper")))
         assert a == b

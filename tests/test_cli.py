@@ -313,7 +313,7 @@ class TestTelemetryFlags:
     def test_run_metrics_out_prometheus(self, tmp_path, capsys):
         out = tmp_path / "m.prom"
         code = main(["run", "--workload", "astar", "--policy", "discard",
-                     *self.FAST, "--packed", "--metrics-out", str(out)])
+                     *self.FAST, "--metrics-out", str(out)])
         assert code == 0
         from repro.obs.metrics import parse_prometheus, summarize
 
@@ -334,7 +334,7 @@ class TestTelemetryFlags:
         clear_pack_cache()  # a warm cache would skip the "pack" span
         out = tmp_path / "t.json"
         code = main(["run", "--workload", "astar", "--policy", "discard",
-                     *self.FAST, "--packed", "--trace-out", str(out)])
+                     *self.FAST, "--trace-out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}

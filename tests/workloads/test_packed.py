@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.policies import DiscardPgc
 from repro.cpu.simulator import SimConfig, simulate
-from repro.validate import result_diff
+from repro.validate import result_diff, simulate_generator
 from repro.workloads import by_name
 from repro.workloads.packed import (
     PackedTrace,
@@ -133,6 +133,38 @@ class TestAnonymousPackIdentity:
         assert repacked is not stale
         assert len(repacked) == 3
         clear_pack_cache()
+
+    def test_adhoc_workloads_sharing_name_suite_seed_do_not_collide(self):
+        # two ad-hoc workloads agree on (type, name, suite, seed) but not on
+        # their phases; the cache used to key both the same and served the
+        # first one's pack for the second
+        from repro.workloads.patterns import PointerChase, Stream
+        from repro.workloads.synthetic import SyntheticWorkload
+
+        clear_pack_cache()
+        stream = SyntheticWorkload(
+            "adhoc", "TEST", 5, [(lambda: Stream(0, footprint_pages=512), 1 << 30)])
+        chase = SyntheticWorkload(
+            "adhoc", "TEST", 5, [(lambda: PointerChase(0), 1 << 30)])
+        config = SimConfig(policy_factory=DiscardPgc,
+                           warmup_instructions=1_000, sim_instructions=3_000)
+        results = [simulate(w, config) for w in (stream, chase)]
+        oracles = [simulate_generator(w, config) for w in (stream, chase)]
+        assert [result_diff(r, o) for r, o in zip(results, oracles)] == [{}, {}]
+        assert results[0].ipc != results[1].ipc
+        assert get_packed(stream, 1_000, 3_000) is not get_packed(chase, 1_000, 3_000)
+        clear_pack_cache()
+
+    def test_registry_and_file_workloads_keyed_by_identity(self, tmp_path):
+        from repro.workloads.packed import _pack_key, stable_identity
+
+        astar = by_name("astar")
+        assert stable_identity(astar) == ("registry", "astar")
+        assert _pack_key(astar, 1, 2) == ("registry", "astar", 1, 2)
+        path = tmp_path / "t.rptr"
+        snapshot_workload(astar, path, instructions=2_000)
+        assert stable_identity(FileWorkload(path)) == ("file", str(path))
+        assert stable_identity(HighGapWorkload()) is None
 
     def test_unweakrefable_workload_served_uncached(self):
         clear_pack_cache()
@@ -268,26 +300,18 @@ class TestPackCacheCapacity:
 class TestPackedSimulation:
     def test_packed_drive_matches_generator(self):
         w = by_name("astar")
-        base = SimConfig(
+        config = SimConfig(
             policy_factory=DiscardPgc, warmup_instructions=4_000, sim_instructions=10_000
         )
-        packed = SimConfig(
-            policy_factory=DiscardPgc, warmup_instructions=4_000, sim_instructions=10_000,
-            packed=True,
-        )
-        assert result_diff(simulate(w, base), simulate(w, packed)) == {}
+        assert result_diff(simulate_generator(w, config), simulate(w, config)) == {}
 
     def test_packed_drive_matches_generator_high_gap(self):
         # gap overshoot exercises the fast path's epoch/measurement seams
-        base = SimConfig(
+        config = SimConfig(
             policy_factory=DiscardPgc, warmup_instructions=1_500, sim_instructions=3_000
         )
-        packed = SimConfig(
-            policy_factory=DiscardPgc, warmup_instructions=1_500, sim_instructions=3_000,
-            packed=True,
-        )
-        gen_result = simulate(HighGapWorkload(), base)
-        packed_result = simulate(HighGapWorkload(), packed)
+        gen_result = simulate_generator(HighGapWorkload(), config)
+        packed_result = simulate(HighGapWorkload(), config)
         assert result_diff(gen_result, packed_result) == {}
 
     def test_packed_replay_through_generator_drive_matches(self):
@@ -298,4 +322,5 @@ class TestPackedSimulation:
             policy_factory=DiscardPgc, warmup_instructions=2_000, sim_instructions=6_000
         )
         packed = get_packed(w, 2_000, 6_000)
-        assert result_diff(simulate(w, config), simulate(packed.replay(), config)) == {}
+        assert result_diff(simulate(w, config),
+                           simulate_generator(packed.replay(), config)) == {}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import DiscardPgc
 from repro.cpu.simulator import SimConfig, simulate
-from repro.validate import result_diff
+from repro.validate import result_diff, simulate_generator
 from repro.workloads import by_name
 from repro.workloads.packed import clear_pack_cache, get_packed, pack_cache_stats
 from repro.workloads.shm import (
@@ -137,21 +137,21 @@ class TestShmSimulation:
         snapshot_workload(by_name("astar"), path, instructions=instructions)
         return FileWorkload(path)
 
-    def _config(self, warmup, sim, packed=False):
+    def _config(self, warmup, sim):
         return SimConfig(policy_factory=DiscardPgc, warmup_instructions=warmup,
-                         sim_instructions=sim, packed=packed)
+                         sim_instructions=sim)
 
     def test_complete_window_identical_on_all_paths(self, tmp_path):
         w = self._file_workload(tmp_path, instructions=12_000)
-        generator = simulate(w, self._config(1_000, 3_000))
-        packed = simulate(w, self._config(1_000, 3_000, packed=True))
+        generator = simulate_generator(w, self._config(1_000, 3_000))
+        packed = simulate(w, self._config(1_000, 3_000))
         assert result_diff(generator, packed) == {}
         with SharedPackStore() as store:
             handle = store.publish(w, 1_000, 3_000)
             assert handle is not None  # path-keyed, hence publishable
             clear_pack_cache()
             install_attachments([handle])
-            shared = simulate(w, self._config(1_000, 3_000, packed=True))
+            shared = simulate(w, self._config(1_000, 3_000))
             assert result_diff(generator, shared) == {}
             detach_all()
 
@@ -160,9 +160,9 @@ class TestShmSimulation:
         # truncation error, not silently under-measure
         w = self._file_workload(tmp_path, instructions=4_000)
         with pytest.raises(ValueError, match="truncating") as generator:
-            simulate(w, self._config(2_000, 6_000))
+            simulate_generator(w, self._config(2_000, 6_000))
         with pytest.raises(ValueError, match="truncating") as packed:
-            simulate(w, self._config(2_000, 6_000, packed=True))
+            simulate(w, self._config(2_000, 6_000))
         assert str(packed.value) == str(generator.value)
         with SharedPackStore() as store:
             handle = store.publish(w, 2_000, 6_000)
@@ -170,7 +170,7 @@ class TestShmSimulation:
             clear_pack_cache()
             install_attachments([handle])
             with pytest.raises(ValueError, match="truncating") as shared:
-                simulate(w, self._config(2_000, 6_000, packed=True))
+                simulate(w, self._config(2_000, 6_000))
             assert str(shared.value) == str(generator.value)
             detach_all()
 
