@@ -20,7 +20,7 @@ def test_parallel_grid_matches_serial(benchmark, tmp_path):
     workloads = stratified_sample(seen_workloads(), scale.n_workloads, scale.seed)
     spec = scale.spec()
 
-    serial = run_policies(workloads, POLICIES, base_spec=spec)
+    serial = run_policies(workloads, POLICIES, base_spec=spec, jobs=1)
     clear_result_memo()  # the parallel grid must simulate, not hit the memo
     parallel = benchmark.pedantic(
         lambda: run_policies(workloads, POLICIES, base_spec=spec, jobs=JOBS),

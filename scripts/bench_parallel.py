@@ -49,7 +49,7 @@ def main() -> int:
           f"= {cells} cells, {args.warmup}+{args.sim} instructions each\n")
 
     start = perf_counter()
-    serial = run_policies(workloads, args.policies, base_spec=spec)
+    serial = run_policies(workloads, args.policies, base_spec=spec, jobs=1)
     t_serial = perf_counter() - start
 
     # every leg must simulate: drop the in-process result memo between them

@@ -19,8 +19,7 @@ Subcommands::
 each mix stepped in retire-clock order against a shared LLC+DRAM, reported
 as the weighted-speedup distribution over the first (baseline) policy.
 Isolation runs are ordinary grid cells — ``--cache-dir`` dedupes them
-across mixes and invocations — and ``--jobs`` fans whole mixes out to
-workers.
+across mixes and invocations — and whole mixes fan out to workers.
 
 ``run``, ``compare``, ``sweep``, and ``inspect`` accept ``--validate``, which
 attaches a runtime invariant checker to every simulation (conservation laws
@@ -40,13 +39,15 @@ breakdown of the hot paths), ``--json`` (machine-readable stdout),
 Prometheus text, or JSON when the path ends in ``.json``), and
 ``--trace-out`` (Chrome trace-event JSON of the run's spans — pack,
 shm-attach, drive, collect, cache-write — loadable in Perfetto or
-``chrome://tracing``; under ``--jobs`` the workers' spans are merged in with
-their real pids).  ``compare`` and ``sweep`` additionally accept ``--jobs``
-(process-pool grid execution), ``--cache-dir`` (content-addressed result
-cache; unchanged cells are never re-simulated), ``--shm``/``--no-shm``
-(share each workload's packed trace with the workers through shared memory
-instead of re-packing per worker; on by default whenever ``--jobs`` > 1),
-and ``--progress`` (live per-cell progress lines with ETA on stderr).
+``chrome://tracing``; grid workers' spans are merged in with their real
+pids).  ``compare``, ``sweep`` and ``mix`` run their grids on one
+worker process per usable CPU; they additionally accept ``--jobs`` (worker
+count; ``--jobs 1`` runs in process), ``--cache-dir`` (content-addressed
+result cache; unchanged cells are never re-simulated), ``--shm``/``--no-shm``
+(publish every / no workload's packed trace through shared memory; by
+default only a trace two or more worker chunks replay is published, the
+rest are packed by the worker that needs them), and ``--progress`` (live
+per-cell progress lines with ETA on stderr).
 
 ``status`` summarises a finished (or in-flight) run journal — runs,
 workloads, policies, wall time, aggregate simulation throughput, per-policy
@@ -67,6 +68,7 @@ from repro.core.filter import PerceptronFilter
 from repro.core.introspect import filter_state, format_filter_state
 from repro.core.system_features import SYSTEM_FEATURES
 from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import cell_for, run_cells
 from repro.experiments.report import format_pct, format_table
 from repro.experiments.runner import RunSpec, run_one
 from repro.experiments.sweep import (
@@ -274,16 +276,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     obs = _make_obs(args)
     cache = _make_cache(args)
-    specs = [_spec(args, policy) for policy in args.policies]
-    if args.jobs > 1 or cache is not None:
-        from repro.experiments.parallel import cell_for, grid_session, run_cells
-
-        cells = [cell_for(workload, spec) for spec in specs]
-        with grid_session(args.jobs, args.shm):
-            results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
-                                shm=args.shm, progress=_progress_sink(args))
-    else:
-        results = [run_one(workload, spec, obs=obs) for spec in specs]
+    cells = [cell_for(workload, _spec(args, policy)) for policy in args.policies]
+    results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
+                        shm=args.shm, progress=_progress_sink(args))
     base = results[0]
     speedups = [_speedup_cell(r, base) for r in results]
     if args.json:
@@ -561,7 +556,27 @@ def _summarize_journal(records: list[dict]) -> dict:
         "mix_core_runs": len(mix_records),
         "mixes": len({r["context"]["mix"] for r in mix_records}),
         "hosts": sorted({r["host"]["hostname"] for r in records if "host" in r}),
+        # grid workers journal their own records, so this counts the
+        # processes the runs were spread over
+        "processes": len({r["host"]["pid"] for r in records if "host" in r}),
     }
+
+
+def _summarize_grid(samples: list[dict]) -> Optional[dict]:
+    """Grid execution from a metrics export: the last batch's worker count,
+    the batches run in process by reason, and the pids that ran cells."""
+    grid: dict = {"workers": None, "serial_batches": {}, "cell_pids": 0}
+    for sample in samples:
+        # Prometheus (grid_cells_total) and JSON (grid.cells) spellings
+        name = sample["name"].replace(".", "_").removesuffix("_total")
+        if name == "grid_workers":
+            grid["workers"] = int(sample["value"])
+        elif name == "grid_serial_batches":
+            reason = sample["labels"].get("reason", "?")
+            grid["serial_batches"][reason] = int(sample["value"])
+        elif name == "grid_cells" and sample["value"]:
+            grid["cell_pids"] += 1
+    return grid if grid["workers"] is not None else None
 
 
 def cmd_status(args: argparse.Namespace) -> int:
@@ -573,7 +588,7 @@ def cmd_status(args: argparse.Namespace) -> int:
         print(f"status: no records in {args.journal}", file=sys.stderr)
         return 1
     summary = _summarize_journal(records)
-    metrics_summary = None
+    metrics_summary = grid = None
     if args.metrics:
         from repro.obs.metrics import parse_prometheus
 
@@ -591,10 +606,12 @@ def cmd_status(args: argparse.Namespace) -> int:
                 + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}")
             # JSON histogram samples carry count/sum instead of a value
             metrics_summary[key] = sample.get("value", sample.get("sum"))
+        grid = _summarize_grid(samples)
     if args.json:
         payload = {"journal": str(args.journal), "summary": summary}
         if metrics_summary is not None:
             payload["metrics"] = metrics_summary
+            payload["grid"] = grid
         print(json.dumps(payload, indent=2))
         return 0
     rows = [
@@ -611,6 +628,14 @@ def cmd_status(args: argparse.Namespace) -> int:
     ips = summary["instructions_per_second"]
     if ips is not None:
         rows.append(("throughput", f"{ips / 1000:.0f}k instr/s"))
+    rows.append(("processes", str(summary["processes"])))
+    if grid is not None:
+        serial = ", ".join(f"{reason} x{n}"
+                           for reason, n in sorted(grid["serial_batches"].items()))
+        rows.append(("grid workers",
+                     f"{grid['workers']} in the last batch; cells ran in "
+                     f"{grid['cell_pids']} process(es)"
+                     + (f"; in process: {serial}" if serial else "")))
     print(format_table(["field", "value"], rows, f"journal {args.journal}"))
     print(format_table(
         ["policy", "runs", "mean IPC"],
@@ -690,15 +715,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parallel_args(p: argparse.ArgumentParser) -> None:
         g = p.add_argument_group("execution")
-        g.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                       help="run grid cells on N worker processes (default: serial)")
+        g.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
+                       help="run grid cells on N worker processes (default: "
+                            "one per usable CPU; 1 runs in process)")
         g.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="content-addressed result cache; unchanged cells are "
                             "served from disk instead of re-simulated")
         shm = g.add_mutually_exclusive_group()
         shm.add_argument("--shm", dest="shm", action="store_true", default=None,
-                         help="share packed traces with workers through "
-                              "shared memory (default when --jobs > 1)")
+                         help="publish every packed trace to the workers "
+                              "through shared memory (default: only traces "
+                              "two or more worker chunks replay)")
         shm.add_argument("--no-shm", dest="shm", action="store_false",
                          help="disable the shared-memory pack store; workers "
                               "pack their own traces")
@@ -787,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "distribution over the first (baseline) policy.  "
                     "Isolation IPCs are content-addressed grid cells, so "
                     "--cache-dir dedupes them across mixes and invocations; "
-                    "--jobs dispatches whole mixes to workers.",
+                    "whole mixes are dispatched to workers.",
     )
     mix_p.add_argument("--mixes", type=_positive_int, default=4, metavar="N",
                        help="number of mixes (the paper runs 300)")
@@ -856,8 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the randomized parallel-vs-serial fuzz")
     val_p.add_argument("--fuzz", type=_positive_int, default=4, metavar="N",
                        help="number of randomized cells in the parallel fuzz")
-    val_p.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
-                       help="worker processes for the parallel leg of the fuzz")
+    val_p.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
+                       help="worker processes for the parallel legs (default: "
+                            "one per usable CPU, at least 2)")
     val_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
     val_p.set_defaults(func=cmd_validate)

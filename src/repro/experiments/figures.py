@@ -4,6 +4,11 @@ Every function reproduces the *procedure* behind one of the paper's exhibits
 on a configurable workload sample (`Scale`), returning plain dicts of numbers
 that the corresponding bench in ``benchmarks/`` prints.  EXPERIMENTS.md maps
 each function to the paper exhibit and records measured-vs-paper shapes.
+
+Each exhibit's grids run on every usable CPU (see
+:func:`~repro.experiments.parallel.resolve_workers`); an exhibit that issues
+several batches runs them inside one :func:`grid_session`, so it forks its
+worker pool once.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Optional, Sequence
 
 from repro.cpu.simulator import SimConfig, SimResult
 from repro.experiments.metrics import average, geomean, geomean_speedup, speedup_percent
+from repro.experiments.parallel import grid_session
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.workloads import (
     make_mixes,
@@ -70,9 +76,14 @@ def _motivation_sample(scale: Scale):
 def fig2_motivation_ipc(scale: Scale = DEFAULT_SCALE, prefetchers: Sequence[str] = ("berti", "bop", "ipcp")):
     """Figure 2: per-workload IPC gain of Permit PGC over Discard PGC."""
     workloads = _motivation_sample(scale)
+    with grid_session():
+        grids = {
+            prefetcher: run_policies(workloads, ["discard", "permit"],
+                                     prefetcher=prefetcher, base_spec=scale.spec())
+            for prefetcher in prefetchers
+        }
     out: dict[str, dict] = {}
-    for prefetcher in prefetchers:
-        res = run_policies(workloads, ["discard", "permit"], prefetcher=prefetcher, base_spec=scale.spec())
+    for prefetcher, res in grids.items():
         gains = [
             (r.workload, speedup_percent(r.speedup_over(b)))
             for r, b in zip(res["permit"], res["discard"])
@@ -87,9 +98,13 @@ def fig2_motivation_ipc(scale: Scale = DEFAULT_SCALE, prefetchers: Sequence[str]
 def fig3_usefulness(scale: Scale = DEFAULT_SCALE, prefetchers: Sequence[str] = ("berti", "bop", "ipcp")):
     """Figure 3: useful/useless split of page-cross prefetches under Permit."""
     workloads = _motivation_sample(scale)
+    with grid_session():
+        runs = {
+            prefetcher: run_many(workloads, scale.spec(prefetcher=prefetcher, policy="permit"))
+            for prefetcher in prefetchers
+        }
     out: dict[str, dict] = {}
-    for prefetcher in prefetchers:
-        results = run_many(workloads, scale.spec(prefetcher=prefetcher, policy="permit"))
+    for prefetcher, results in runs.items():
         split = []
         for r in results:
             total = r.pgc_useful + r.pgc_useless
@@ -141,9 +156,14 @@ def fig9_scheme_comparison(
 ):
     """Figure 9: geomean IPC of all schemes over Discard PGC, per prefetcher."""
     workloads = _sample_seen(scale)
+    with grid_session():
+        grids = {
+            prefetcher: run_policies(workloads, ["discard", *policies],
+                                     prefetcher=prefetcher, base_spec=scale.spec())
+            for prefetcher in prefetchers
+        }
     out: dict[str, dict[str, float]] = {}
-    for prefetcher in prefetchers:
-        res = run_policies(workloads, ["discard", *policies], prefetcher=prefetcher, base_spec=scale.spec())
+    for prefetcher, res in grids.items():
         base = res["discard"]
         out[prefetcher] = {
             policy: speedup_percent(geomean_speedup(res[policy], base)) for policy in policies
@@ -270,9 +290,10 @@ def fig14_single_features(scale: Scale = DEFAULT_SCALE):
 
     workloads = _sample_seen(scale)
     spec = scale.spec(prefetcher="berti")
-    base = run_many(workloads, replace(spec, policy="discard"))
+    with grid_session():
+        base = run_many(workloads, replace(spec, policy="discard"))
+        res_dripper = run_many(workloads, replace(spec, policy="dripper"))
     out = {}
-    res_dripper = run_many(workloads, replace(spec, policy="dripper"))
     out["dripper"] = speedup_percent(geomean_speedup(res_dripper, base))
     single_specs = [
         ("Delta", False),
@@ -312,11 +333,12 @@ def fig16_large_pages(scale: Scale = DEFAULT_SCALE, large_page_fraction: float =
     """Figure 16: 4KB+2MB system; DRIPPER vs DRIPPER(filter@2MB) vs Permit."""
     workloads = _sample_seen(scale)
     spec = scale.spec(prefetcher="berti", large_page_fraction=large_page_fraction)
-    res = run_policies(
-        workloads, ["discard", "permit", "dripper"], prefetcher="berti", base_spec=spec
-    )
+    with grid_session():
+        res = run_policies(
+            workloads, ["discard", "permit", "dripper"], prefetcher="berti", base_spec=spec
+        )
+        res_2mb = run_many(workloads, replace(spec, policy="dripper", filter_at_native_boundary=True))
     base = res["discard"]
-    res_2mb = run_many(workloads, replace(spec, policy="dripper", filter_at_native_boundary=True))
     return {
         "permit_pct": speedup_percent(geomean_speedup(res["permit"], base)),
         "dripper_pct": speedup_percent(geomean_speedup(res["dripper"], base)),
@@ -327,12 +349,16 @@ def fig16_large_pages(scale: Scale = DEFAULT_SCALE, large_page_fraction: float =
 def fig17_l2_prefetchers(scale: Scale = DEFAULT_SCALE, l2_prefetchers: Sequence[str] = ("none", "spp", "ipcp", "bop")):
     """Figure 17: Permit & DRIPPER gains under different L2C prefetchers."""
     workloads = _sample_seen(scale)
+    with grid_session():
+        grids = {
+            l2: run_policies(
+                workloads, ["discard", "permit", "dripper"], prefetcher="berti",
+                base_spec=scale.spec(l2_prefetcher=l2),
+            )
+            for l2 in l2_prefetchers
+        }
     out = {}
-    for l2 in l2_prefetchers:
-        res = run_policies(
-            workloads, ["discard", "permit", "dripper"], prefetcher="berti",
-            base_spec=scale.spec(l2_prefetcher=l2),
-        )
+    for l2, res in grids.items():
         base = res["discard"]
         out[l2] = {
             "permit_pct": speedup_percent(geomean_speedup(res["permit"], base)),
@@ -360,10 +386,12 @@ def table5_all_workloads(scale: Scale = DEFAULT_SCALE):
     seen = stratified_sample(seen_workloads(), scale.n_workloads, scale.seed)
     unseen = stratified_sample(unseen_workloads(), scale.n_workloads, scale.seed)
     calm = stratified_sample(non_intensive_workloads(), max(4, scale.n_workloads // 3), scale.seed)
+    groups = (("seen", seen), ("unseen", unseen), ("non_intensive", calm))
+    with grid_session():
+        grids = {label: _berti_three_way(workloads, scale) for label, workloads in groups}
     out = {}
     all_speedups: dict[str, list[float]] = {"permit": [], "dripper": []}
-    for label, workloads in (("seen", seen), ("unseen", unseen), ("non_intensive", calm)):
-        res = _berti_three_way(workloads, scale)
+    for label, res in grids.items():
         base = res["discard"]
         out[label] = {
             policy: speedup_percent(geomean_speedup(res[policy], base))
@@ -387,7 +415,7 @@ def fig19_multicore(
     seed: int = 42,
     *,
     policies: Sequence[str] = ("discard", "permit", "dripper"),
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache=None,
     obs=None,
     shm: Optional[bool] = None,
@@ -400,8 +428,8 @@ def fig19_multicore(
     The first policy is the normalisation baseline (the paper's Discard
     PGC); every other policy is reported as a per-mix weighted-speedup
     distribution plus its geomean.  The paper runs 300 mixes
-    (``n_mixes=300``); at that scale pass ``jobs=`` to fan mixes out as
-    affine chunks (one mix per worker chunk) and ``cache=``
+    (``n_mixes=300``); mixes fan out as affine chunks (one mix per worker
+    chunk) on every usable CPU unless ``jobs=`` says otherwise, and ``cache=``
     (a :class:`~repro.experiments.cache.ResultCache`) to dedupe the
     isolation runs — every workload × policy isolation IPC is an ordinary
     content-addressed cell, shared across all mixes that draw it.

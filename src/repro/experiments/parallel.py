@@ -4,8 +4,13 @@ Every grid helper (``run_many``/``run_policies``/the sweeps) lowers its loop
 nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
 (workload × spec × overrides) point — and hands them to :func:`run_cells`:
 
-* ``jobs=1`` executes the cells in input order, in process, through exactly
-  the code path the serial helpers always used;
+* ``jobs=None`` (the default) runs the batch on every usable CPU — the
+  process's affinity mask, capped by the batch's chunk count — and falls
+  back to executing in process, in input order, only for reasons it can
+  observe: one usable CPU, at most one pending chunk, timeline/probe
+  instruments in ``obs``, or a caller that is itself a grid worker (see
+  :func:`resolve_workers`);
+* ``jobs=1`` executes the cells in input order, in process;
 * ``jobs>1`` dispatches the cells to a :class:`ProcessPoolExecutor` and
   reassembles the results **in input order**, so callers cannot observe the
   scheduling;
@@ -38,19 +43,29 @@ handful of heavyweight DRIPPER/PPF cells amid cheap discard ones — this
 keeps the long poles from landing last and serialising the batch tail; on
 uniform grids it degrades to the old largest-chunk-first order.
 
-With ``shm`` enabled (the default for ``jobs>1``) the parent packs each
-workload of the grid exactly once and publishes the columns through a
-:class:`~repro.workloads.shm.SharedPackStore`; chunks carry their workload's
-:class:`~repro.workloads.shm.PackHandle` and the workers replay zero-copy
-views instead of repacking per process.  Cells whose workload cannot be
-published (no cross-process identity, empty pack) simply run exactly as
-before — shm is a pure transport optimisation on top of the bit-identical
-packed fast path.
+**Pack placement** follows the batch plan.  A workload window that two or
+more chunks (or mixes) of the batch replay is packed once by the parent and
+published through a :class:`~repro.workloads.shm.SharedPackStore`; those
+chunks carry its :class:`~repro.workloads.shm.PackHandle` and the workers
+replay zero-copy views.  A window only one chunk replays is packed by the
+worker that owns the chunk, so packing runs in parallel instead of serially
+in the parent before dispatch (a window an earlier batch of the session
+already published is handed over all the same).  ``shm=True`` publishes
+every window, ``shm=False`` none.  Cells whose workload cannot be published
+(no cross-process identity, empty pack) simply pack in the worker — placement
+is a pure transport choice on top of the bit-identical packed kernel.
 
 :func:`grid_session` keeps one worker pool (and one pack store) alive across
-several ``run_cells`` batches — ``run_policies`` and the sweeps wrap their
-batches in it, so a multi-sweep grid forks once instead of once per sweep
-point.
+several ``run_cells`` batches — ``run_policies``, the sweeps and every
+multi-batch paper exhibit wrap their batches in it, so each forks its pool
+once instead of once per batch.  Pools never outlive their session: a
+process-lifetime pool would keep running code forked before a later
+monkeypatch or cache clear.
+
+Worker death: if a worker process dies mid-batch (a SIGKILL, the OOM
+killer), the batch raises :class:`GridWorkerLost` naming every cell whose
+result never landed.  Lost cells leave no memo or cache entry, the broken
+pool is dropped, and a rerun starts a fresh one.
 
 Determinism: a simulation is a pure function of (workload identity + seed,
 config) — trace generation, large-page allocation, and every replacement
@@ -58,7 +73,7 @@ decision are seeded — so parallel results are identical to serial ones, and
 cache hits are identical to re-runs (floats survive JSON round-trips
 exactly).
 
-Journaling under ``jobs>1``: the parent's :class:`RunJournal` holds a shared
+Journaling on a pool: the parent's :class:`RunJournal` holds a shared
 file handle that is not fork-safe, so each worker chunk appends to its own
 JSONL shard (``shard-<pid>-<seq>.jsonl``, closed before the chunk returns)
 and the parent merges-and-consumes the shards into its journal once the
@@ -67,7 +82,8 @@ directory from double-counting earlier batches.  Per-cell grid coordinates
 travel *in the cell* (``Cell.context``), never by mutating a shared
 ``Observability`` — which is also what keeps the serial path's records free
 of stale coordinates.  Timelines and profiling probes are in-process
-instruments and remain ``jobs=1`` only.
+instruments: with them a default batch runs in process, and an explicit
+``jobs>1`` raises.
 """
 
 from __future__ import annotations
@@ -75,8 +91,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import asdict, dataclass, replace
@@ -108,6 +125,84 @@ ResultHook = Callable[[int, SimResult, bool], None]
 #: (the third leg of the result-cache story next to hits/misses)
 _COALESCED = get_metrics().counter(
     "result_cache.coalesced", "in-flight duplicate cells coalesced onto a primary")
+
+#: worker processes the most recent batch resolved to (1 = ran in process)
+_WORKERS = get_metrics().gauge(
+    "grid.workers", "worker processes of the most recent grid batch")
+#: batches that ran in process, by why (see resolve_workers)
+_SERIAL_BATCHES = get_metrics().counter(
+    "grid.serial_batches", "grid batches run in process, by reason")
+
+#: set in every grid worker process by the pool initializer
+_IN_WORKER = False
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _has_in_process_instruments(obs: Optional["Observability"]) -> bool:
+    return obs is not None and (obs.timeline is not None or obs.probe is not None)
+
+
+def resolve_workers(jobs: Optional[int], pending: int,
+                    obs: Optional["Observability"] = None) -> tuple[int, Optional[str]]:
+    """Worker processes for a batch with ``pending`` cells (or mixes) to run.
+
+    Returns ``(workers, reason)``.  ``reason`` is ``None`` when the batch
+    goes to a pool, otherwise why it runs in process: ``"requested"``
+    (``jobs=1``), ``"nested"`` (this process is itself a grid worker),
+    ``"instruments"`` (a timeline or probe in ``obs``), ``"one-cpu"`` or
+    ``"one-chunk"``.  ``jobs=None`` takes every usable CPU; an explicit
+    ``jobs`` is honoured as given.  Either is capped by ``pending``: the
+    batch plan always cuts at least as many chunks as workers, so this is
+    the cap by chunk count.
+    """
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if jobs == 1:
+            return 1, "requested"
+    elif _IN_WORKER:
+        return 1, "nested"
+    elif _has_in_process_instruments(obs):
+        return 1, "instruments"
+    else:
+        jobs = usable_cpus()
+        if jobs == 1:
+            return 1, "one-cpu"
+    if pending <= 1:
+        return 1, "one-chunk"
+    return min(jobs, pending), None
+
+
+def _record_batch(workers: int, reason: Optional[str],
+                  prog: Optional[GridProgress], cells: int, cached: int) -> None:
+    """Publish a batch's resolved worker count (gauge, counter, progress)."""
+    _WORKERS.set(workers)
+    if reason is not None:
+        _SERIAL_BATCHES.inc(reason=reason)
+    if prog is not None:
+        prog.start(cells, cached, workers=workers, serial_reason=reason)
+
+
+class GridWorkerLost(RuntimeError):
+    """A grid worker process died before the named cells' results landed.
+
+    Nothing is memoised or cached for the lost cells, so rerunning the
+    batch simulates exactly them again (and serves the rest from wherever
+    they landed).
+    """
+
+    def __init__(self, lost: Sequence[str]):
+        self.lost = list(lost)
+        super().__init__(
+            f"a grid worker died; {len(self.lost)} cell(s) produced no result "
+            f"and were not cached: {', '.join(self.lost)}")
 
 
 #: fixed bound on the in-process result memo (a SimResult is ~2 KB, so
@@ -280,6 +375,14 @@ def _record_cell(wall: float, instructions: int) -> None:
     cell_seconds.observe(wall)
 
 
+def _record_copies(n: int) -> None:
+    """Account ``n`` in-batch duplicates served from cells this pid ran, so
+    a batch's per-pid ``grid.cells`` sum to the cells it did not serve
+    before dispatch."""
+    if n:
+        _grid_metrics()[0].inc(n, pid=str(os.getpid()))
+
+
 # ---------------------------------------------------------------------------
 # worker side (module-level so both fork and spawn start methods can pickle it)
 
@@ -289,9 +392,13 @@ _WORKER_SEQ = 0
 
 def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
                  trace: bool = False) -> None:
-    global _WORKER_SHARD_DIR, _WORKER_SEQ
+    global _WORKER_SHARD_DIR, _WORKER_SEQ, _IN_WORKER, _SESSION
     _WORKER_SHARD_DIR = shard_dir
     _WORKER_SEQ = 0
+    # a grid helper called from inside a cell runs in this process, never
+    # on the parent's session, whose pool and store this fork inherited
+    _IN_WORKER = True
+    _SESSION = None
     # a forked worker inherits the parent's pack-cache buffers but would
     # repack on first miss anyway (nothing keeps the inherited entries warm
     # across COW); drop them so worker RSS doesn't double — workers never
@@ -332,6 +439,7 @@ def _run_chunk_worker(
     handles: Sequence[PackHandle],
     use_journal: bool,
     trace_dir: Optional[str] = None,
+    copies: int = 0,
 ) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
     """Run one chunk — a workload-affine run of cells, or one mix — in this
     worker process; ``execute`` is :func:`execute_cell` or
@@ -342,6 +450,8 @@ def _run_chunk_worker(
     taken at entry.  Deltas are commutative, so the parent can merge them in
     completion order.  With ``trace_dir`` set, buffered spans are flushed to
     a per-chunk shard there (the parent absorbs them after the batch).
+    ``copies`` in-batch duplicates of the chunk's cells are served from
+    their results by the parent; they are accounted to this worker.
     """
     if handles:
         # the chunk's pack may have been published after this pool started,
@@ -355,6 +465,7 @@ def _run_chunk_worker(
     obs = _chunk_obs() if use_journal else None
     try:
         out = [(i, execute(cell, obs=obs)) for i, cell in items]
+        _record_copies(copies)
     finally:
         if obs is not None:
             obs.close()
@@ -371,57 +482,104 @@ def _run_chunk_worker(
 
 
 class _GridSession:
-    """One worker pool + pack store + shard dir, reusable across batches."""
+    """One worker pool + pack store + shard dir, reusable across batches.
 
-    def __init__(self, jobs: int, shm: bool):
-        self.jobs = jobs
+    All three are made on first use, so a session whose batches all run in
+    process forks nothing and touches no shared memory.
+    """
+
+    def __init__(self, shm: Optional[bool]):
         self.shm = shm
-        self.store: Optional[SharedPackStore] = SharedPackStore() if shm else None
-        self.shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        # trace shards live in a subdirectory so the journal's shard merge
-        # (non-recursive glob over shard_dir) never sees them
-        self.trace_dir = os.path.join(self.shard_dir, "trace")
-        os.makedirs(self.trace_dir, exist_ok=True)
+        self.store: Optional[SharedPackStore] = None
+        self.shard_dir: Optional[str] = None
+        self.trace_dir: Optional[str] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
 
-    def pool(self) -> ProcessPoolExecutor:
-        """The (lazily forked) worker pool; initial handles ride along."""
+    def pool(self, workers: int) -> ProcessPoolExecutor:
+        """A worker pool of at least ``workers`` processes (forked lazily;
+        the handles published so far ride along)."""
+        if self._pool is not None and self._workers < workers:
+            self.drop_pool()
         if self._pool is None:
+            if self.shard_dir is None:
+                self.shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
+                # trace shards live in a subdirectory so the journal's shard
+                # merge (non-recursive glob over shard_dir) never sees them
+                self.trace_dir = os.path.join(self.shard_dir, "trace")
+                os.makedirs(self.trace_dir, exist_ok=True)
             handles = tuple(self.store.handles()) if self.store is not None else ()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(self.shard_dir, handles, current_tracer() is not None),
             )
+            self._workers = workers
         return self._pool
+
+    def drop_pool(self) -> None:
+        """Shut the pool down (a broken one included); the next batch forks anew."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+    def place(self, chunks: Sequence["_Chunk"], shm: Optional[bool]) -> list["_Task"]:
+        """Attach each chunk's pack handles per the placement rule (module
+        docstring) and estimate its cost from the pack lengths."""
+        if self.shm is not None:
+            shm = self.shm
+        uses = Counter(key for _execute, _items, packs, _weight in chunks
+                       for key in {(id(w), warmup, sim) for w, warmup, sim in packs})
+        tasks: list[_Task] = []
+        for execute, items, packs, weight in chunks:
+            handles: list[PackHandle] = []
+            records = 0
+            for workload, warmup, sim in packs:
+                handle = None
+                share = shm if shm is not None else uses[(id(workload), warmup, sim)] >= 2
+                if share:
+                    if self.store is None:
+                        self.store = SharedPackStore()
+                    handle = self.store.publish(workload, warmup, sim)
+                elif shm is None and self.store is not None:
+                    handle = self.store.handle_for(workload, warmup, sim)
+                if handle is not None:
+                    handles.append(handle)
+                # pack length when published; the window is the proxy
+                # otherwise (records ≈ instructions for gap-light traces)
+                records += handle.n_records if handle is not None else warmup + sim
+            tasks.append((execute, items, tuple(handles), weight * records))
+        return tasks
 
     def close(self) -> None:
         """Shut the pool down, unlink every shm segment, drop the shard dir."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self.drop_pool()
         if self.store is not None:
             self.store.close()
-        shutil.rmtree(self.shard_dir, ignore_errors=True)
+        if self.shard_dir is not None:
+            shutil.rmtree(self.shard_dir, ignore_errors=True)
 
 
 _SESSION: Optional[_GridSession] = None
 
 
 @contextmanager
-def grid_session(jobs: int = 1, shm: Optional[bool] = None) -> Iterator[Optional[_GridSession]]:
+def grid_session(jobs: Optional[int] = None,
+                 shm: Optional[bool] = None) -> Iterator[Optional[_GridSession]]:
     """Reuse one pool/pack store across every ``run_cells`` batch inside.
 
-    ``run_policies`` and the sweeps wrap their batches in this, so a grid
-    spanning several sweep points forks its workers once and publishes each
-    workload's pack once.  Nesting is a no-op (the outermost session wins),
-    as is ``jobs<=1``.  ``shm=None`` means "on for parallel runs".
+    ``run_policies``, the sweeps and the multi-batch paper exhibits wrap
+    their batches in this, so a grid spanning several batches forks its
+    workers once and publishes each shared pack once.  Nesting is a no-op
+    (the outermost session wins), as are ``jobs=1`` and running inside a
+    grid worker.  ``shm=None`` places packs by the batch plan; ``True`` or
+    ``False`` overrides every batch inside.
     """
     global _SESSION
-    if _SESSION is not None or jobs <= 1:
+    if _SESSION is not None or (jobs is not None and jobs <= 1) or _IN_WORKER:
         yield _SESSION
         return
-    session = _GridSession(jobs, shm if shm is not None else True)
+    session = _GridSession(shm)
     _SESSION = session
     try:
         yield session
@@ -494,9 +652,12 @@ def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
         for i in indices)
 
 
-#: one pool task: (execute_cell | execute_mix_cell, [(index, cell)], pack
-#: handles, estimated cost)
-_Chunk = tuple[Callable[..., Any], list[tuple[int, Any]], tuple[PackHandle, ...], float]
+#: one planned chunk: (execute_cell | execute_mix_cell, [(index, cell)], the
+#: (workload, warmup, sim) packs it replays, cost weight per pack record)
+_Chunk = tuple[Callable[..., Any], list[tuple[int, Any]],
+               tuple[tuple[Any, int, int], ...], float]
+#: one pool task: a chunk with its pack handles and estimated cost
+_Task = tuple[Callable[..., Any], list[tuple[int, Any]], tuple[PackHandle, ...], float]
 
 
 def _dispatch_chunks(
@@ -505,17 +666,22 @@ def _dispatch_chunks(
     obs: Optional["Observability"],
     prog: Optional[GridProgress],
     finish: Callable[[int, Any], None],
-    plan: Callable[[_GridSession], list[_Chunk]],
+    chunks: Sequence[_Chunk],
+    describe: Callable[[int], str],
+    copies: Optional[dict[int, list[int]]] = None,
 ) -> None:
-    """The ``jobs>1`` half of :func:`run_cells` and :func:`run_mix_cells`.
+    """The pool half of :func:`run_cells` and :func:`run_mix_cells`.
 
-    ``plan(session)`` lays the batch out as chunks (publishing their packs
-    into the session's store); they are submitted to the session's pool
-    costliest-first, and each landed result goes through ``finish``.
-    Worker metric deltas, journal shards and trace shards are merged back
-    into this process.
+    The chunks get their pack handles (see :meth:`_GridSession.place`) and
+    are submitted to the session's pool costliest-first; each landed result
+    goes through ``finish``.  ``copies`` maps a cell to its in-batch
+    duplicates, which ``finish`` serves and its worker accounts.  Worker
+    metric deltas, journal shards and trace shards are merged back into
+    this process.  A dead worker raises
+    :class:`GridWorkerLost` naming (via ``describe``) every cell that did
+    not land.
     """
-    if obs is not None and (obs.timeline is not None or obs.probe is not None):
+    if _has_in_process_instruments(obs):
         raise ValueError(
             "timeline/probe instruments are in-process only; run with jobs=1 "
             "or pass an Observability bundle with just a journal"
@@ -524,36 +690,50 @@ def _dispatch_chunks(
     session = _SESSION
     ephemeral = session is None
     if ephemeral:
-        session = _GridSession(workers, shm if shm is not None else True)
+        session = _GridSession(shm)
     try:
-        chunks = sorted(plan(session), key=lambda c: -c[3])  # costliest first
-        pool = session.pool()
+        tasks = sorted(session.place(chunks, shm), key=lambda t: -t[3])
+        pool = session.pool(workers)
         trace_dir = session.trace_dir if current_tracer() is not None else None
+        copies = copies or {}
         futures = {
             pool.submit(_run_chunk_worker, execute, items, handles,
-                        journal is not None, trace_dir): [i for i, _ in items]
-            for execute, items, handles, _cost in chunks
+                        journal is not None, trace_dir,
+                        sum(len(copies.get(i, ())) for i, _ in items)):
+                [i for i, _ in items]
+            for execute, items, handles, _cost in tasks
         }
         registry = get_metrics()
+        landed_futures = set()
         for future in as_completed(futures):
             try:
                 landed, delta = future.result()
+            except BrokenProcessPool as exc:
+                lost = sorted(i for f, indices in futures.items()
+                              if f not in landed_futures for i in indices)
+                session.drop_pool()
+                if prog is not None:
+                    prog.cell_failed(lost, exc)
+                raise GridWorkerLost([describe(i) for i in lost]) from exc
             except BaseException as exc:
                 if prog is not None:
                     prog.cell_failed(futures[future], exc)
                 raise
+            landed_futures.add(future)
             # deltas are commutative/associative, so completion order —
             # which varies run to run — cannot change the merged totals
             registry.merge(delta)
             for i, result in landed:
                 finish(i, result)
+        # a worker-side batch may have set the gauge in a merged delta
+        _WORKERS.set(workers)
         if journal is not None:
             from repro.obs.journal import merge_shards
 
             obs.runs += merge_shards(journal, session.shard_dir, consume=True)
     finally:
         tracer = current_tracer()
-        if tracer is not None:
+        if tracer is not None and session.trace_dir is not None:
             tracer.absorb_shards(session.trace_dir)
         if ephemeral:
             session.close()
@@ -562,7 +742,7 @@ def _dispatch_chunks(
 def run_cells(
     cells: Sequence[Cell],
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     obs: Optional["Observability"] = None,
     on_result: Optional[ResultHook] = None,
@@ -571,25 +751,27 @@ def run_cells(
 ) -> list[SimResult]:
     """Execute a batch of cells; results come back in input order.
 
-    Cells are looked up by fingerprint in the cache (when given), then —
-    if memo-eligible (see the module docstring) — in the in-process result
-    memo.  With a cache, identical in-flight cells are coalesced: the first
-    occurrence simulates, the rest are served from its entry (they count as
-    cache hits); without one, a repeated memo-eligible cell of a serial
-    batch is served from the memo.  Only simulated cells are journaled —
-    the journal stays a log of actual simulations, while cache stats
-    account for the saved ones.
+    ``jobs=None`` runs on every usable CPU unless the batch has to run in
+    process (:func:`resolve_workers`); ``on_result`` and ``progress`` then
+    fire in completion order.  Cells are looked up by fingerprint in the
+    cache (when given), then — if memo-eligible (see the module docstring)
+    — in the in-process result memo.  Identical cells of one batch that
+    either can serve are coalesced: the first occurrence simulates, the
+    rest are served from its result (they count as cached), so a batch
+    simulates each distinct cell once on a pool too.  Only simulated cells
+    are journaled — the journal stays a log of actual simulations, while
+    cache stats account for the saved ones.
 
-    ``shm=None`` enables the shared pack store whenever ``jobs>1`` (pass
-    ``False`` to force per-worker packing); inside a :func:`grid_session`
-    the session's setting wins.
+    ``shm`` picks pack placement (module docstring); inside a
+    :func:`grid_session` a session-level ``True``/``False`` wins.
 
     ``progress`` (see :mod:`repro.obs.progress`) receives one structured
-    event per grid milestone: batch start, each landed cell (with ETA and
-    aggregate throughput), failed chunks, and batch end.
+    event per grid milestone: batch start (with the resolved worker count),
+    each landed cell (with ETA and aggregate throughput), failed chunks,
+    and batch end.
     """
     cells = list(cells)
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     results: list[Optional[SimResult]] = [None] * len(cells)
     keys: list[Optional[str]] = [None] * len(cells)
@@ -599,36 +781,31 @@ def run_cells(
     pending: list[int] = []
     primary: dict[str, int] = {}
 
-    def memo_hit(i: int) -> Optional[SimResult]:
-        """Cell ``i``'s memoised result (also stored into a missing cache)."""
-        hit = _memo_get(keys[i]) if memo[i] else None
-        if hit is not None and cache is not None:
-            cache.put(keys[i], hit, meta={"workload": cells[i].workload})
-        return hit
-
     for i, cell in enumerate(cells):
         if cache is None and not memo[i]:
             pending.append(i)
             continue
         key = keys[i] = cell_fingerprint(cell)
-        if cache is not None and key in primary:  # identical in-flight cell
+        if key in primary:  # identical in-flight cell
             duplicates.setdefault(primary[key], []).append(i)
             continue
         hit = cache.get(key) if cache is not None else None
-        if hit is None:
-            hit = memo_hit(i)
+        if hit is None and memo[i]:
+            hit = _memo_get(key)
+            if hit is not None and cache is not None:
+                cache.put(key, hit, meta={"workload": cell.workload})
         if hit is not None:
             results[i] = hit
             if on_result is not None:
                 on_result(i, hit, True)
             continue
-        if cache is not None:
-            primary[key] = i
+        primary[key] = i
         pending.append(i)
 
+    workers, serial_reason = resolve_workers(jobs, len(pending), obs)
     prog = GridProgress(progress) if progress is not None else None
-    if prog is not None:
-        prog.start(len(cells), sum(1 for r in results if r is not None))
+    _record_batch(workers, serial_reason, prog, len(cells),
+                  sum(1 for r in results if r is not None))
 
     def _cell_policy(i: int) -> str:
         return cells[i].policy or cells[i].spec.policy
@@ -645,7 +822,7 @@ def run_cells(
             prog.cell_finish(i, cells[i].workload, _cell_policy(i),
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
-            dup_result = cache.get(keys[dup])
+            dup_result = cache.get(keys[dup]) if cache is not None else None
             results[dup] = dup_result if dup_result is not None else copy(result)
             _COALESCED.inc()
             if on_result is not None:
@@ -655,44 +832,26 @@ def run_cells(
                                  cached=True,
                                  instructions=results[dup].instructions)
 
-    workers = min(jobs, len(pending))
     if workers <= 1:
         for i in pending:
-            # without a cache to coalesce them, in-batch duplicates reach
-            # this loop; the first one's result is in the memo by now
-            hit = memo_hit(i)
-            if hit is not None:
-                results[i] = hit
-                if on_result is not None:
-                    on_result(i, hit, True)
-                if prog is not None:
-                    prog.cell_finish(i, cells[i].workload, _cell_policy(i),
-                                     cached=True, instructions=hit.instructions)
-                continue
             if prog is not None:
                 prog.cell_start(i, cells[i].workload, _cell_policy(i))
             finish(i, execute_cell(cells[i], obs=obs))
+            _record_copies(len(duplicates.get(i, ())))
     else:
-        def plan(session: _GridSession) -> list[_Chunk]:
-            # split each workload's run into chunks small enough to load-
-            # balance, but never split a chunk across workloads
-            chunk_size = max(1, -(-len(pending) // (workers * 2)))
-            chunks: list[_Chunk] = []
-            for indices, workload, warmup, sim in _affine_groups(cells, pending):
-                handle = None
-                if session.store is not None:
-                    handle = session.store.publish(workload, warmup, sim)
-                # pack length when published; the window is the proxy
-                # otherwise (records ≈ instructions for gap-light traces)
-                records = handle.n_records if handle is not None else warmup + sim
-                for at in range(0, len(indices), chunk_size):
-                    piece = indices[at:at + chunk_size]
-                    chunks.append((execute_cell, [(i, cells[i]) for i in piece],
-                                   (handle,) if handle is not None else (),
-                                   chunk_cost(cells, piece, records)))
-            return chunks
-
-        _dispatch_chunks(workers, shm, obs, prog, finish, plan)
+        # split each workload's run into chunks small enough to load-
+        # balance, but never split a chunk across workloads
+        chunk_size = max(1, -(-len(pending) // (workers * 2)))
+        chunks: list[_Chunk] = []
+        for indices, workload, warmup, sim in _affine_groups(cells, pending):
+            for at in range(0, len(indices), chunk_size):
+                piece = indices[at:at + chunk_size]
+                chunks.append((execute_cell, [(i, cells[i]) for i in piece],
+                               ((workload, warmup, sim),),
+                               chunk_cost(cells, piece, 1)))
+        _dispatch_chunks(workers, shm, obs, prog, finish, chunks,
+                         lambda i: f"#{i} {cells[i].workload}/{_cell_policy(i)}",
+                         duplicates)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results
@@ -774,7 +933,7 @@ MixResultHook = Callable[[int, "MixResult", bool], None]
 def run_mix_cells(
     cells: Sequence[MixCell],
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     obs: Optional["Observability"] = None,
     on_result: Optional[MixResultHook] = None,
     shm: Optional[bool] = None,
@@ -784,20 +943,20 @@ def run_mix_cells(
 
     Scheduling is mix-affine: **one mix = one chunk**, so a worker steps all
     eight cores of a mix against their shared LLC+DRAM without interleaving
-    other work.  The parent publishes every mix workload's pack (at its
-    QMM-halved window where applicable) through the session's shared store
-    exactly once — mixes overlap heavily in workloads, so later mixes attach
-    the columns the first one paid for.  There is no result cache at the
-    mix level — the cacheable unit is the *isolation*
-    run, which is an ordinary :class:`Cell`.
+    other work.  ``jobs`` resolves as in :func:`run_cells`.  A workload
+    window (QMM-halved where applicable) that two or more mixes of the
+    batch replay is packed once by the parent and published through the
+    session's shared store — mixes overlap heavily in workloads, so later
+    mixes attach the columns the first one paid for; a window only one mix
+    replays is packed by that mix's worker.  There is no result cache at
+    the mix level — the cacheable unit is the *isolation* run, which is an
+    ordinary :class:`Cell`.
     """
     cells = list(cells)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers, serial_reason = resolve_workers(jobs, len(cells), obs)
     results: list[Optional["MixResult"]] = [None] * len(cells)
     prog = GridProgress(progress) if progress is not None else None
-    if prog is not None:
-        prog.start(len(cells), 0)
+    _record_batch(workers, serial_reason, prog, len(cells), 0)
 
     def _policy(i: int) -> str:
         return cells[i].policy or cells[i].spec.policy
@@ -811,38 +970,26 @@ def run_mix_cells(
                 i, cells[i].label(), _policy(i), cached=False,
                 instructions=sum(r.instructions for r in result.results))
 
-    workers = min(jobs, len(cells))
     if workers <= 1:
         for i in range(len(cells)):
             if prog is not None:
                 prog.cell_start(i, cells[i].label(), _policy(i))
             finish(i, execute_mix_cell(cells[i], obs=obs))
     else:
-        def plan(session: _GridSession) -> list[_Chunk]:
-            chunks: list[_Chunk] = []
-            for i, cell in enumerate(cells):
-                handles: list[PackHandle] = []
-                config = build_mix_config(cell)
-                weight = policy_cost_weight(cell.policy or cell.spec.policy)
-                cost = 0.0
-                for workload in cell.resolve_workloads():
-                    warmup, sim = (config.warmup_instructions,
-                                   config.sim_instructions)
-                    if workload.suite.startswith("QMM"):
-                        warmup, sim = warmup // 2, sim // 2
-                    handle = None
-                    if session.store is not None:
-                        handle = session.store.publish(workload, warmup, sim)
-                        if handle is not None:
-                            handles.append(handle)
-                    records = (handle.n_records if handle is not None
-                               else warmup + sim)
-                    cost += records * weight
-                # a mix's wall-clock tracks its total per-core record mass
-                chunks.append((execute_mix_cell, [(i, cell)], tuple(handles), cost))
-            return chunks
-
-        _dispatch_chunks(workers, shm, obs, prog, finish, plan)
+        chunks: list[_Chunk] = []
+        for i, cell in enumerate(cells):
+            config = build_mix_config(cell)
+            packs = []
+            for workload in cell.resolve_workloads():
+                warmup, sim = config.warmup_instructions, config.sim_instructions
+                if workload.suite.startswith("QMM"):
+                    warmup, sim = warmup // 2, sim // 2
+                packs.append((workload, warmup, sim))
+            # a mix's wall-clock tracks its total per-core record mass
+            chunks.append((execute_mix_cell, [(i, cell)], tuple(packs),
+                           policy_cost_weight(_policy(i))))
+        _dispatch_chunks(workers, shm, obs, prog, finish, chunks,
+                         lambda i: f"#{i} {cells[i].label()}/{_policy(i)}")
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results

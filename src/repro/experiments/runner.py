@@ -133,21 +133,22 @@ def run_many(
     *,
     progress: Optional[Callable[[str, SimResult], None]] = None,
     obs: Optional["Observability"] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
     shm: Optional[bool] = None,
 ) -> list[SimResult]:
     """Run a spec across workloads (optionally reporting per-run progress).
 
     The runs lower to grid cells executed by
-    :func:`~repro.experiments.parallel.run_cells`: ``jobs`` > 1 fans them out
-    to worker processes, ``cache`` serves previously simulated cells from
+    :func:`~repro.experiments.parallel.run_cells`: by default they fan out
+    to one worker process per usable CPU (``jobs`` sets the count, ``1``
+    runs in process), ``cache`` serves previously simulated cells from
     disk, and a cell already simulated in this process is served from the
     in-process result memo.  Results always come back in workload order,
     identical to a serial run.  With parallel execution, ``progress`` fires
-    in completion order rather than input order.  ``shm=None`` shares
-    packed traces through the zero-copy store whenever ``jobs>1``
-    (``False`` forces per-worker packing).
+    in completion order rather than input order.  ``shm`` picks pack
+    placement (``None``: by the batch plan; ``True``/``False``: always/never
+    through the zero-copy store).
     """
     from repro.experiments.parallel import cell_for, grid_session, run_cells
 
@@ -171,7 +172,7 @@ def run_policies(
     prefetcher: Optional[str] = None,
     base_spec: Optional[RunSpec] = None,
     obs: Optional["Observability"] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
     shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
@@ -181,8 +182,9 @@ def run_policies(
     ``prefetcher`` overrides the spec's prefetcher only when explicitly
     given — a caller-supplied ``base_spec`` keeps its own prefetcher
     otherwise (it used to be silently clobbered with the default).  The
-    whole (policy × workload) grid is dispatched as one batch, so ``jobs``
-    parallelises across policies as well as workloads; workload-affine
+    whole (policy × workload) grid is dispatched as one batch, so it runs
+    in parallel (on every usable CPU unless ``jobs`` says otherwise) across
+    policies as well as workloads; workload-affine
     scheduling keeps each worker replaying one (shared) pack across its
     policies.
     """

@@ -5,7 +5,8 @@ length, ...) and reports DRIPPER's and the static policies' geomean speedups
 at each point — the sensitivity analyses backing the ablation benches.
 
 Both sweeps lower their loop nests to :class:`~repro.experiments.parallel.Cell`
-batches, so ``jobs=`` runs the grid on a process pool and ``cache=`` (a
+batches, so the grid runs on a process pool (one worker per usable CPU
+unless ``jobs=`` says otherwise) and ``cache=`` (a
 :class:`~repro.experiments.cache.ResultCache`) deduplicates identical cells:
 sweep points that share the ``discard`` baseline simulate it once, and
 re-running an unchanged sweep is free.
@@ -66,7 +67,7 @@ def sweep_parameter(
     prefetcher: str = "berti",
     base_spec: RunSpec | None = None,
     obs: Optional["Observability"] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
     shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
@@ -117,7 +118,7 @@ def sweep_epoch_length(
     prefetcher: str = "berti",
     base_spec: RunSpec | None = None,
     obs: Optional["Observability"] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
     shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,

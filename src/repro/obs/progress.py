@@ -9,7 +9,10 @@ rate, and aggregate throughput (cells/s and simulated instructions/s).
 Event names and fields:
 
 * ``grid-start`` — ``cells`` (batch size), ``cached`` (served before any
-  simulation), ``pending`` (cells that will actually run);
+  simulation), ``pending`` (cells that will actually run), ``workers``
+  (worker processes the batch resolved to; 1 = in process) and
+  ``serial_reason`` (why it runs in process, ``None`` on a pool — see
+  :func:`repro.experiments.parallel.resolve_workers`);
 * ``cell-start`` — ``index``, ``workload``, ``policy`` (serial execution
   only: a pool worker's start is not observable from the parent);
 * ``cell-finish`` — ``index``, ``workload``, ``policy``, ``cached``,
@@ -51,11 +54,13 @@ class GridProgress:
         payload = {"event": event, **fields}
         self.sink(payload)
 
-    def start(self, cells: int, cached: int) -> None:
+    def start(self, cells: int, cached: int, *, workers: int = 1,
+              serial_reason: Optional[str] = None) -> None:
         self.cells = cells
         self.done = self.cached = cached
         self._t0 = perf_counter()
-        self._emit("grid-start", cells=cells, cached=cached, pending=cells - cached)
+        self._emit("grid-start", cells=cells, cached=cached, pending=cells - cached,
+                   workers=workers, serial_reason=serial_reason)
 
     def cell_start(self, index: int, workload: str, policy: str) -> None:
         self._emit("cell-start", index=index, workload=workload, policy=policy)
@@ -120,8 +125,11 @@ def progress_printer(stream: Optional[TextIO] = None) -> ProgressSink:
     def sink(event: dict[str, Any]) -> None:
         kind = event["event"]
         if kind == "grid-start":
+            where = (f"in process ({event['serial_reason']})"
+                     if event["serial_reason"] else f"on {event['workers']} workers")
             out.write(f"grid: {event['cells']} cell(s), "
-                      f"{event['cached']} from cache, {event['pending']} to run\n")
+                      f"{event['cached']} from cache, {event['pending']} to run "
+                      f"{where}\n")
         elif kind == "cell-finish":
             tag = "cache" if event["cached"] else "ran"
             rate = event["instructions_per_second"]

@@ -47,7 +47,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.policies import PermitPgc
 from repro.cpu.simulator import SimConfig, SimResult, build_engine, collect_result, drive, simulate
-from repro.experiments.parallel import cell_for, clear_result_memo, run_cells
+from repro.experiments.parallel import cell_for, clear_result_memo, run_cells, usable_cpus
 from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.prefetch import make_l1d_prefetcher
@@ -576,12 +576,19 @@ def run_validation_suite(
     sim: int = 6_000,
     seed: int = 0,
     fuzz_cells: int = 4,
-    jobs: int = 2,
+    jobs: Optional[int] = None,
     progress: Optional[Callable[[CheckOutcome], None]] = None,
 ) -> list[CheckOutcome]:
-    """Run the full differential suite; returns one outcome per check."""
+    """Run the full differential suite; returns one outcome per check.
+
+    ``jobs`` sizes the parallel legs (default: every usable CPU); they run
+    on at least two workers even on one CPU, so they always cross a
+    process boundary.
+    """
     if not workload_names:
         raise ValueError("run_validation_suite needs at least one workload")
+    if jobs is None:
+        jobs = usable_cpus()
     anchor = workload_names[0]
     outcomes: list[CheckOutcome] = []
 

@@ -90,7 +90,7 @@ class TestFig19:
 
         kwargs = dict(n_mixes=2, cores=2, warmup_instructions=1_000,
                       sim_instructions=3_000, seed=3)
-        serial = fig19_multicore(**kwargs)
+        serial = fig19_multicore(**kwargs, jobs=1)
         clear_result_memo()  # the parallel isolation cells must simulate too
         parallel = fig19_multicore(**kwargs, jobs=2)
         assert serial == parallel

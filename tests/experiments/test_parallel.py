@@ -62,14 +62,14 @@ class TestSerialParallelEquivalence:
     def test_policy_grid_identical_under_jobs4(self):
         # the acceptance grid: 2 policies x 4 workloads
         workloads = _workloads()
-        serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST)
+        serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST, jobs=1)
         clear_result_memo()  # the parallel leg must simulate too
         parallel = run_policies(workloads, ["discard", "permit"], base_spec=FAST, jobs=4)
         assert parallel == serial  # SimResult dataclass equality, field-exact
 
     def test_run_many_order_preserved(self):
         workloads = _workloads()
-        serial = run_many(workloads, FAST)
+        serial = run_many(workloads, FAST, jobs=1)
         clear_result_memo()
         parallel = run_many(workloads, FAST, jobs=3)
         assert parallel == serial
@@ -86,7 +86,7 @@ class TestSerialParallelEquivalence:
 
         workloads = _workloads(("astar", "hmmer"))
         serial = sweep_parameter(workloads, dram_latency_transform, (100, 300),
-                                 policies=("permit",), base_spec=FAST)
+                                 policies=("permit",), base_spec=FAST, jobs=1)
         clear_result_memo()
         parallel = sweep_parameter(workloads, dram_latency_transform, (100, 300),
                                    policies=("permit",), base_spec=FAST, jobs=2)
@@ -123,7 +123,7 @@ class TestCacheBehaviour:
         workloads = _workloads(("astar", "hmmer"))
         cache = ResultCache(tmp_path)
         parallel = run_many(workloads, FAST, jobs=2, cache=cache)
-        serial = run_many(workloads, FAST, cache=ResultCache(tmp_path))
+        serial = run_many(workloads, FAST, jobs=1, cache=ResultCache(tmp_path))
         assert serial == parallel
 
 
@@ -303,7 +303,7 @@ class TestSharedMemoryGrid:
 
     def test_run_policies_shm_matches_serial(self):
         workloads = _workloads(("astar", "hmmer"))
-        serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST)
+        serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST, jobs=1)
         clear_result_memo()
         shared = run_policies(workloads, ["discard", "permit"], base_spec=FAST,
                               jobs=2, shm=True)
@@ -450,6 +450,18 @@ class TestResultMemo:
         assert simulations == ["astar"]
         assert a == b and a is not b
 
+    def test_in_batch_duplicates_coalesced_on_a_pool(self):
+        from repro.obs.metrics import get_metrics
+
+        drives = get_metrics().counter("sim.drives")
+        before = drives.total()
+        cells = [cell_for(by_name(w), FAST) for w in ("astar", "hmmer")] * 2
+        results = run_cells(cells, jobs=2)
+        assert get_metrics().gauge("grid.workers").value() == 2  # a real pool
+        assert drives.total() - before == 2  # one merged drive per distinct cell
+        for a, b in ((results[0], results[2]), (results[1], results[3])):
+            assert a == b and a is not b
+
     def test_observed_validated_and_adhoc_cells_always_simulate(self, simulations, tmp_path):
         from dataclasses import replace
 
@@ -494,3 +506,160 @@ class TestResultMemo:
         clear_result_memo()
         run_cells(cells)
         assert simulations == ["astar", "astar"]
+
+
+def _serial_batches(reason):
+    from repro.obs.metrics import get_metrics
+
+    return get_metrics().counter("grid.serial_batches").value(reason=reason)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if anything forks a grid worker pool."""
+    from repro.experiments import parallel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was forked")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+
+
+class TestWorkerResolution:
+    def test_explicit_jobs_honoured_and_capped_by_pending(self):
+        from repro.experiments.parallel import resolve_workers
+
+        assert resolve_workers(3, 8) == (3, None)
+        assert resolve_workers(8, 3) == (3, None)
+        assert resolve_workers(1, 8) == (1, "requested")
+        assert resolve_workers(4, 1) == (1, "one-chunk")
+        with pytest.raises(ValueError, match="jobs"):
+            resolve_workers(0, 8)
+
+    def test_default_takes_every_usable_cpu(self, monkeypatch):
+        import os
+
+        from repro.experiments.parallel import resolve_workers
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert resolve_workers(None, 8) == (3, None)
+        assert resolve_workers(None, 2) == (2, None)
+        assert resolve_workers(None, 1) == (1, "one-chunk")
+
+    def test_one_usable_cpu_runs_serially_without_a_pool(self, monkeypatch, no_pool,
+                                                         simulations):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = _serial_batches("one-cpu")
+        events = []
+        out = run_policies(_workloads(("astar", "hmmer")), ["discard", "permit"],
+                           base_spec=FAST, progress=events.append)
+        assert len(simulations) == 4  # every cell ran in this process
+        assert [r.workload for r in out["permit"]] == ["astar", "hmmer"]
+        assert events[0]["workers"] == 1 and events[0]["serial_reason"] == "one-cpu"
+        assert _serial_batches("one-cpu") == before + 1
+
+    def test_in_process_instruments_run_serially_by_default(self, no_pool, simulations):
+        from repro.obs import Probe, TimelineRecorder
+
+        cells = [cell_for(w, FAST) for w in _workloads(("astar", "hmmer"))]
+        for obs in (Observability(timeline=TimelineRecorder()),
+                    Observability(probe=Probe())):
+            before = _serial_batches("instruments")
+            assert len(run_cells(cells, obs=obs)) == 2
+            assert _serial_batches("instruments") == before + 1
+            with pytest.raises(ValueError, match="in-process"):
+                run_cells(cells, jobs=2, obs=obs)
+        assert simulations == ["astar", "hmmer"] * 2
+
+    def test_grid_worker_resolves_default_jobs_to_one(self):
+        from repro.experiments.parallel import resolve_workers
+
+        with grid_session() as session:
+            nested = session.pool(1).submit(resolve_workers, None, 8).result()
+        assert nested == (1, "nested")
+
+
+class TestPackPlacement:
+    def _published(self):
+        from repro.obs.metrics import get_metrics
+
+        return get_metrics().counter("shm.published").total()
+
+    def test_single_chunk_workload_is_packed_by_its_worker(self):
+        from repro.workloads.shm import live_segments
+
+        cells = [cell_for(w, FAST) for w in _workloads(("astar", "hmmer"))]
+        serial = run_cells(cells, jobs=1)
+        clear_result_memo()
+        before = self._published()
+        assert run_cells(cells, jobs=2) == serial
+        assert self._published() == before  # each workload is one chunk
+        assert live_segments() == []
+
+    def test_workload_shared_by_chunks_is_published_once(self):
+        from repro.workloads.shm import live_segments
+
+        cells = [cell_for(by_name("astar"), FAST, policy=p)
+                 for p in ("discard", "permit", "dripper", "iso")]
+        serial = run_cells(cells, jobs=1)
+        clear_result_memo()
+        before = self._published()
+        assert run_cells(cells, jobs=2) == serial  # four one-cell chunks
+        assert self._published() == before + 1
+        assert live_segments() == []
+
+    def test_fig19_policy_mixes_publish_each_workload_once(self):
+        from repro.experiments.figures import fig19_multicore
+        from repro.workloads import make_mixes
+        from repro.workloads.shm import live_segments
+
+        kwargs = dict(n_mixes=1, cores=2, warmup_instructions=1_000,
+                      sim_instructions=3_000, seed=3)
+        serial = fig19_multicore(**kwargs, jobs=1)
+        clear_result_memo()
+        before = self._published()
+        assert fig19_multicore(**kwargs, jobs=2) == serial
+        (mix,) = make_mixes(1, 2, 3)
+        assert self._published() == before + len({w.name for w in mix})
+        assert live_segments() == []
+
+
+class TestWorkerDeath:
+    def test_killed_worker_names_lost_cells_and_caches_nothing(self, monkeypatch,
+                                                                tmp_path):
+        import os
+        import signal
+
+        from repro.experiments import parallel
+        from repro.experiments.parallel import GridWorkerLost, cell_fingerprint
+
+        real = parallel.simulate
+        mcf_runs = []
+
+        def dies_mid_chunk(workload, config, **kwargs):
+            # only ever called in a forked worker: the batch runs on a pool
+            if workload.name == "mcf":
+                mcf_runs.append(1)
+                if len(mcf_runs) == 2:  # the chunk's second mcf cell
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(workload, config, **kwargs)
+
+        cells = [cell_for(w, FAST, policy=p)
+                 for w in _workloads() for p in ("discard", "permit")]
+        monkeypatch.setattr(parallel, "simulate", dies_mid_chunk)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(GridWorkerLost) as err:
+            run_cells(cells, jobs=2, cache=cache)
+        assert "mcf/discard" in str(err.value) and "mcf/permit" in str(err.value)
+        for cell in cells:
+            if cell.workload == "mcf":
+                key = cell_fingerprint(cell)
+                assert key not in parallel._RESULT_MEMO
+                assert not cache._path(key).exists()
+
+        monkeypatch.setattr(parallel, "simulate", real)
+        rerun = run_cells(cells, jobs=2, cache=ResultCache(tmp_path))
+        clear_result_memo()
+        assert rerun == run_cells(cells, jobs=1)

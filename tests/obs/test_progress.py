@@ -97,3 +97,22 @@ class TestRunCellsIntegration:
         run_cells(cells, cache=ResultCache(tmp_path), progress=events.append)
         finishes = [e for e in events if e["event"] == "cell-finish"]
         assert [f["cached"] for f in finishes] == [False, True]
+
+    def test_grid_start_reports_resolved_workers(self):
+        spec = RunSpec(prefetcher="berti", policy="discard", **_FAST)
+        cells = [cell_for(by_name(w), spec) for w in ("astar", "hmmer")]
+        events = []
+        run_cells(cells, jobs=2, progress=events.append)
+        assert events[0]["workers"] == 2 and events[0]["serial_reason"] is None
+        events.clear()
+        run_cells(cells, jobs=1, progress=events.append)
+        assert events[0]["workers"] == 1 and events[0]["serial_reason"] == "requested"
+
+    def test_printer_names_where_the_batch_ran(self):
+        out = io.StringIO()
+        prog = GridProgress(progress_printer(out))
+        prog.start(4, 0, workers=2)
+        prog.start(4, 0, workers=1, serial_reason="one-cpu")
+        lines = out.getvalue().splitlines()
+        assert lines[0].endswith("on 2 workers")
+        assert lines[1].endswith("in process (one-cpu)")

@@ -392,6 +392,24 @@ class TestStatusCommand:
         assert payload["summary"]["instructions"] > 0
         assert any(k.startswith("sim_drives_total") for k in payload["metrics"])
 
+    def test_status_shows_grid_workers(self, tmp_path, capsys):
+        journal = tmp_path / "runs.jsonl"
+        metrics = tmp_path / "m.json"
+        main(["compare", "--workload", "astar",
+              "--policies", "discard", "dripper", *self.FAST, "--jobs", "2",
+              "--journal", str(journal), "--metrics-out", str(metrics)])
+        capsys.readouterr()
+        assert main(["status", "--journal", str(journal),
+                     "--metrics", str(metrics), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["grid"]["workers"] == 2
+        assert payload["summary"]["processes"] == 2
+        # the metrics registry is process-wide: earlier tests' pids count too
+        assert payload["grid"]["cell_pids"] >= 2
+        assert main(["status", "--journal", str(journal),
+                     "--metrics", str(metrics)]) == 0
+        assert "2 in the last batch" in capsys.readouterr().out
+
     def test_status_empty_journal_fails(self, tmp_path, capsys):
         journal = tmp_path / "empty.jsonl"
         journal.write_text("")
