@@ -113,7 +113,6 @@ def _spec(args: argparse.Namespace, policy: str) -> RunSpec:
         sim_instructions=args.sim,
         large_page_fraction=args.large_pages,
         validate=getattr(args, "validate", False),
-        kernel=getattr(args, "kernel", "fused"),
         sampling=_sampling_config(args),
     )
 
@@ -323,7 +322,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         warmup_instructions=args.warmup,
         sim_instructions=args.sim,
         validate=args.validate,
-        kernel=args.kernel,
         sampling=_sampling_config(args),
     )
     _setup_telemetry(args)
@@ -494,7 +492,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         cache=cache,
         obs=obs,
         shm=args.shm,
-        kernel=args.kernel,
         validate=args.validate,
         progress=_progress_sink(args),
     )
@@ -692,12 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run "
                             "(abort with a counter snapshot on violation)")
-        p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
-                       default="fused",
-                       help="packed kernel tier: 'vectorized' skips uneventful "
-                            "spans with numpy scans, 'auto' probes each pack's "
-                            "event density and picks the winning tier "
-                            "(bit-identical results)")
         p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sampled simulation: cluster the trace into "
@@ -783,10 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--sim", type=int, default=60_000)
     swp_p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run")
-    swp_p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
-                       default="fused",
-                       help="packed kernel tier for every run "
-                            "(bit-identical results)")
     swp_p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sample every sweep cell into PHASES phases "
@@ -830,10 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mix-composition seed")
     mix_p.add_argument("--validate", action="store_true",
                        help="attach a runtime invariant checker to every core")
-    mix_p.add_argument("--kernel", choices=("fused", "vectorized"),
-                       default="fused",
-                       help="packed kernel tier for every core "
-                            "(bit-identical results)")
     add_parallel_args(mix_p)
     g = mix_p.add_argument_group("observability")
     g.add_argument("--journal", metavar="PATH", default=None,

@@ -19,29 +19,29 @@ Two drive loops produce bit-identical results:
   time from each core's live workload generator;
 * the **packed loop** (the production path of :func:`simulate_mix`) steps
   each core over the flat columns of its cached
-  :class:`~repro.workloads.packed.PackedTrace` **through the fused
-  fast-path record kernel** (:mod:`repro.cpu.fastpath_mix`) — per-record
-  pattern state machines and RNG draws are paid once per (workload,
-  window) instead of once per mix × policy, and the dominant record case
-  runs at single-core fused speed — and *batches* heap traffic: while the
-  running core's ``(retire_t, index)`` stays strictly below the heap's
-  next entry, popping the heap would return the same core again, so it
-  keeps stepping without touching the heap.  Each core's kernel lives in
-  a generator coroutine, so its hoisted locals survive the switch and a
-  scheduling round-trip costs one ``send``.  Replay restart maps onto the
-  columns as a fresh pass; a replay that outruns the pack (IPC imbalance,
-  e.g. a halved-budget QMM core replaying while full-budget cores catch
-  up) continues on a fresh generator advanced past the packed prefix,
-  because that is precisely the stream the generator loop would be
-  consuming.
+  :class:`~repro.workloads.packed.PackedTrace` through the one record
+  kernel, :func:`repro.cpu.fastpath.core_stepper` — the same body every
+  single-core run drives — and *batches* heap traffic: while the running
+  core's ``(retire_t, index)`` stays strictly below the heap's next entry,
+  popping the heap would return the same core again, so it keeps stepping
+  without touching the heap.  Each core's kernel lives in a generator
+  coroutine, so its hoisted locals survive the switch and a scheduling
+  round-trip costs one ``send``.  Replay restart maps onto the columns as a
+  fresh pass; a replay that outruns the pack (IPC imbalance, e.g. a
+  halved-budget QMM core replaying while full-budget cores catch up)
+  continues on a memoised stream advanced past the packed prefix, because
+  that is precisely the stream the generator loop would be consuming.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.cpu.simulator import (
     DRIVES as _DRIVES,
@@ -54,12 +54,14 @@ from repro.cpu.simulator import (
 from repro.mem.cache import Cache
 from repro.mem.dram import Dram
 from repro.obs.tracing import trace_span
+from repro.workloads.packed import stable_identity
 from repro.workloads.synthetic import SyntheticWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import CoreEngine
     from repro.obs import Observability
     from repro.validate.invariants import InvariantChecker
+    from repro.workloads.trace import Record
 
 _INF = float("inf")
 
@@ -113,6 +115,117 @@ class MixResult:
             self.ipcs, isolation_ipcs,
             labels=[r.workload for r in self.results],
         )
+
+
+def _overflow_iterator(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"]:
+    """A fresh record stream advanced past the first ``skip`` records.
+
+    A replaying core that exhausts its (complete) pack is, in generator-loop
+    terms, consuming records ``skip, skip+1, ...`` of a fresh
+    ``workload.generate()`` stream — records the pack never materialised.
+    """
+    it = iter(workload.generate())
+    deque(islice(it, skip), maxlen=0)
+    return it
+
+
+class _OverflowTail:
+    """Memoised overflow stream shared by every stepper of one workload.
+
+    Regenerating the overflow tail is the dominant non-simulation cost of a
+    packed mix cell: the source generator must replay the whole packed
+    prefix (to advance its pattern/RNG state) and then re-produce every
+    tail record, once per cell — and a mix study runs the same mix under
+    several policies.  Records are deterministic per workload identity, so
+    the tail is generated once per process and appended here; later cells
+    (and same-workload cores within a cell) replay the cached tuples.
+
+    Consumers hold their own cursor into ``records``; whoever runs off the
+    cached end pulls the shared ``source`` forward and appends.  Steppers
+    are coroutines on one thread, so there is no append race — a consumer
+    only yields control *between* records.
+    """
+
+    __slots__ = ("workload", "skip", "records", "source", "exhausted")
+
+    def __init__(self, workload: "SyntheticWorkload", skip: int) -> None:
+        self.workload = workload
+        self.skip = skip
+        self.records: list["Record"] = []
+        #: created on first use so the prefix replay is deferred (and paid
+        #: exactly once), like the stepper's lazy overflow stream
+        self.source: Iterator["Record"] | None = None
+        self.exhausted = False
+
+
+#: per-entry cap on memoised tail records (32 B-per-field tuples; ~0.5 M
+#: records keeps the worst entry around tens of MB) — a replay running past
+#: the cap falls back to a private regenerated stream
+_TAIL_RECORD_CAP = 1 << 19
+
+#: FIFO-bounded cache: identity key -> _OverflowTail
+_TAIL_CACHE: OrderedDict[tuple, _OverflowTail] = OrderedDict()
+_TAIL_CACHE_CAPACITY = 8
+
+
+def clear_overflow_tails() -> None:
+    """Drop every memoised overflow tail (test isolation hook)."""
+    _TAIL_CACHE.clear()
+
+
+def _tail_key(workload: "SyntheticWorkload", skip: int) -> tuple | None:
+    """Identity key for the tail cache, or None when caching is unsafe.
+
+    Uses the pack cache's rule (:func:`repro.workloads.packed.stable_identity`):
+    registry and file-backed workloads regenerate deterministically, so
+    their tails can be shared; anything else would need id-keyed weakref
+    pinning — not worth it for a pure performance cache, so those streams
+    just stay uncached.
+    """
+    identity = stable_identity(workload)
+    return None if identity is None else (*identity, skip)
+
+
+def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"]:
+    """The overflow stream, served from (and growing) the shared tail cache.
+
+    Yields exactly the records ``_overflow_iterator(workload, skip)`` would:
+    the cached span first, then freshly generated records which are appended
+    as they are produced.  Past ``_TAIL_RECORD_CAP`` the consumer continues
+    on a private stream advanced beyond everything already served.
+    """
+    key = _tail_key(workload, skip)
+    if key is None:
+        yield from _overflow_iterator(workload, skip)
+        return
+    tail = _TAIL_CACHE.get(key)
+    if tail is None:
+        tail = _OverflowTail(workload, skip)
+        _TAIL_CACHE[key] = tail
+        while len(_TAIL_CACHE) > _TAIL_CACHE_CAPACITY:
+            _TAIL_CACHE.popitem(last=False)
+    records = tail.records
+    i = 0
+    while True:
+        n = len(records)
+        while i < n:
+            yield records[i]
+            i += 1
+        if tail.exhausted:
+            return
+        if i >= _TAIL_RECORD_CAP:
+            yield from _overflow_iterator(workload, skip + i)
+            return
+        if tail.source is None:
+            tail.source = _overflow_iterator(workload, skip)
+        try:
+            rec = next(tail.source)
+        except StopIteration:
+            tail.exhausted = True
+            return
+        records.append(rec)
+        yield rec
+        i += 1
 
 
 def _drive_mix_generator(
@@ -169,15 +282,15 @@ def _drive_mix_packed(
     core_configs: list[SimConfig],
     checkers: Optional[list["InvariantChecker"]] = None,
 ) -> list[Optional[SimResult]]:
-    """Packed drive loop: fused per-core steppers, batched heap stepping.
+    """Packed drive loop: one record-kernel stepper per core, batched heap stepping.
 
-    Each core is a resumable :func:`repro.cpu.fastpath_mix.core_stepper` —
-    the fused fast-path record kernel parked in a generator coroutine, so
-    each burst between heap switches runs at fused speed and switching
-    cores costs one ``send``.  Bit-identical to
-    :func:`_drive_mix_generator` by construction:
+    Each core is a resumable :func:`repro.cpu.fastpath.core_stepper` — the
+    record kernel every single-core run also drives — so each burst between
+    heap switches runs at kernel speed and switching cores costs one
+    ``send``.  Bit-identical to :func:`_drive_mix_generator` by
+    construction:
 
-    * the fused record body is the single-core fast path, proven equal to
+    * the record body is the one that single-core runs prove equal to
       ``engine.step`` record-for-record, and the stepper's event placement
       mirrors the generator loop's per-record warm-up/finish checks (a
       complete pack's last record is the record on which the core finishes,
@@ -187,14 +300,15 @@ def _drive_mix_packed(
       return core ``i`` again, so stepping it without the round-trip replays
       the identical schedule (the retire clock never decreases, and the
       bound cannot move while no other core steps);
-    * replay past a complete pack's end continues on an overflow generator
-      advanced past the packed prefix, wrapping back to the pack's first
-      record when that finite stream ends — mirroring the generator loop's
-      ``StopIteration`` restart.  Incomplete packs (finite traces shorter
-      than their window) hold the *entire* source stream, so for them a
-      plain wrap is the restart, pre- and post-finish alike.
+    * replay past a complete pack's end continues on the memoised overflow
+      stream (:func:`_tail_records`) advanced past the packed prefix, and a
+      pass that runs out of records resumes at the pack's first record —
+      mirroring the generator loop's ``StopIteration`` restart.  Incomplete
+      packs (finite traces shorter than their window) hold the *entire*
+      source stream, so for them that wrap is the restart, pre- and
+      post-finish alike.
     """
-    from repro.cpu.fastpath_mix import core_stepper
+    from repro.cpu.fastpath import core_stepper
     from repro.workloads.packed import get_packed
 
     _DRIVES.inc(mode="mix-packed")
@@ -203,7 +317,8 @@ def _drive_mix_packed(
     for i, (engine, workload, (warmup, sim)) in enumerate(
             zip(engines, workloads, budgets)):
         pack = get_packed(workload, warmup, sim)
-        stepper = core_stepper(engine, pack, workload, warmup, sim, i)
+        overflow = partial(_tail_records, workload, len(pack)) if pack.complete else None
+        stepper = core_stepper(engine, pack, warmup, sim, i, overflow)
         next(stepper)  # run the hoists, park before the first record
         steppers.append(stepper)
     finished: list[Optional[SimResult]] = [None] * cores
@@ -217,16 +332,18 @@ def _drive_mix_packed(
             # how far core i may run before the schedule would switch cores
             bound = heap[0] if heap else (_INF, cores)
             event, t = steppers[i].send(bound)
-            while event == "finish":
-                finished[i] = collect_result(engines[i], workloads[i].name,
-                                             core_configs[i])
-                if checkers is not None:
-                    checkers[i].check_final(engines[i], finished[i])
-                remaining -= 1
-                if not remaining:
-                    return finished
-                # the core replays (same bound still applies); it reports
-                # "bound" itself if the finishing record already crossed it
+            while event != "bound":
+                if event == "finish":
+                    finished[i] = collect_result(engines[i], workloads[i].name,
+                                                 core_configs[i])
+                    if checkers is not None:
+                        checkers[i].check_final(engines[i], finished[i])
+                    remaining -= 1
+                    if not remaining:
+                        return finished
+                # "finish": the core replays; "exhausted": it wraps to its
+                # first record.  The same bound still applies, and the core
+                # reports "bound" itself once it crosses it
                 event, t = steppers[i].send(bound)
             heapq.heappush(heap, (t, i))
     finally:
@@ -275,11 +392,10 @@ def simulate_mix(
 
     Cores step through the packed mix loop, bit-identical to the
     :func:`_drive_mix_generator` oracle (asserted by
-    :func:`repro.validate.check_mix_packed_matches_generator`).  An unknown
-    ``config.kernel`` raises instead of silently falling back, and
-    ``config.validate`` attaches one
-    :class:`~repro.validate.InvariantChecker` per core (each core's result
-    is checked at its own collect point, while the core goes on replaying).
+    :func:`repro.validate.check_mix_packed_matches_generator`), and
+    ``config.validate`` attaches one :class:`~repro.validate.InvariantChecker`
+    per core (each core's result is checked at its own collect point, while
+    the core goes on replaying).
 
     With an ``obs`` bundle, one journal record is written per core, tagged
     with the mix id and core index (``mix``/``core`` context keys; the
@@ -289,11 +405,6 @@ def simulate_mix(
     instruments and are rejected.
     """
     cores = len(workloads)
-    if config.kernel not in ("fused", "vectorized"):
-        raise ValueError(
-            f"unknown packed kernel tier {config.kernel!r}; "
-            "expected 'fused' or 'vectorized'"
-        )
     if obs is not None and (obs.timeline is not None or obs.probe is not None):
         raise ValueError(
             "timeline/probe instruments are single-core only; pass an "
@@ -330,8 +441,7 @@ def isolation_ipc(
     """IPC of `workload` alone on the multi-core configuration.
 
     Delegates to :func:`~repro.cpu.simulator.simulate`, so the config's
-    ``kernel``/``validate`` knobs are honoured the same way a single-core
-    run honours them.
+    ``validate`` knob is honoured the same way a single-core run honours it.
     """
     iso_config = replace(config, params=config.params.scaled_llc(cores))
     warmup, sim = config.warmup_instructions, config.sim_instructions

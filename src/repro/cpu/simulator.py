@@ -36,15 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: builds a fresh policy per run (policies are stateful and must not be shared)
 PolicyFactory = Callable[[], PageCrossPolicy]
 
-#: one increment per drive-loop entry, labelled by mode — the single-core
-#: kernels (``fused`` | ``stepwise`` | ``vectorized``), ``sampled`` runs,
-#: and the mix loop (``mix-packed``); ``generator`` and ``mix-generator``
-#: only come from the reference oracles that :mod:`repro.validate` calls.
-#: Every drive loop imports this one instrument.
+#: one increment per drive-loop entry, labelled by mode — single-core runs
+#: of the record kernel (``fused``, or ``stepwise`` under a probe),
+#: ``sampled`` runs, and the mix loop (``mix-packed``); ``generator`` and
+#: ``mix-generator`` only come from the reference oracles that
+#: :mod:`repro.validate` calls.  Every drive loop imports this one instrument.
 DRIVES = get_metrics().counter(
     "sim.drives",
-    "drive-loop entries by mode (fused/stepwise/vectorized/sampled/"
-    "mix-packed in production; generator/mix-generator from the oracles)")
+    "drive-loop entries by mode (fused/stepwise/sampled/mix-packed in "
+    "production; generator/mix-generator from the oracles)")
 
 
 @dataclass
@@ -65,18 +65,12 @@ class SimConfig:
     #: (conservation laws checked per epoch and at collect time); purely
     #: observational — a validated run produces the same SimResult
     validate: bool = False
-    #: packed kernel tier: ``"fused"`` (record-at-a-time),
-    #: ``"vectorized"`` (span-skipping numpy scans,
-    #: :mod:`repro.cpu.fastpath_vec`), or ``"auto"`` (an event-density probe
-    #: over the pack picks the tier expected to win); results are
-    #: bit-identical across tiers
-    kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`): profile
     #: the packed trace into phases, simulate one representative interval
     #: per phase, and reconstruct the whole-trace result with bootstrap
     #: confidence bounds.  ``None`` (the default) simulates the full window;
-    #: a sampled result is an *approximation* and therefore DOES enter the
-    #: result-cache fingerprint, unlike ``kernel``
+    #: a sampled result is an *approximation* and therefore enters the
+    #: result-cache fingerprint
     sampling: Optional["SamplingConfig"] = None
 
 
@@ -325,17 +319,6 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
     return wall_seconds
 
 
-def packed_driver(kernel: str) -> Callable[..., float]:
-    """The packed drive loop of a kernel tier (``fused``/``vectorized``/``auto``)."""
-    if kernel == "vectorized":
-        from repro.cpu.fastpath_vec import drive_packed_vec as drive_loop
-    elif kernel == "auto":
-        from repro.cpu.fastpath_vec import drive_packed_auto as drive_loop
-    else:
-        from repro.cpu.fastpath import drive_packed as drive_loop
-    return drive_loop
-
-
 def simulate(
     workload: Workload, config: SimConfig, *, obs: Optional["Observability"] = None
 ) -> SimResult:
@@ -352,11 +335,6 @@ def simulate(
     and a violation raises :class:`~repro.validate.InvariantViolation`
     (journaled first when the bundle carries a journal).
     """
-    if config.kernel not in ("fused", "vectorized", "auto"):
-        raise ValueError(
-            f"unknown packed kernel tier {config.kernel!r}; "
-            "expected 'fused', 'vectorized', or 'auto'"
-        )
     if config.sampling is not None:
         # phase-sampled run: profile, cluster, simulate representatives,
         # reconstruct — the sampling module owns spans/metrics/obs for it
@@ -372,9 +350,12 @@ def simulate(
 
         checker = InvariantChecker(obs=obs, workload=workload.name)
         checker.attach(engine)
+    # imported per call: the kernel module imports DRIVES from this one
+    from repro.cpu.fastpath import drive_packed
+
     packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
     with trace_span("drive", workload=workload.name, mode="packed"):
-        wall_seconds = packed_driver(config.kernel)(engine, packed, config)
+        wall_seconds = drive_packed(engine, packed, config)
     with trace_span("collect", workload=workload.name):
         result = collect_result(engine, workload.name, config)
     if checker is not None:

@@ -419,7 +419,6 @@ def fig19_multicore(
     cache=None,
     obs=None,
     shm: Optional[bool] = None,
-    kernel: str = "fused",
     validate: bool = False,
     progress=None,
 ):
@@ -451,7 +450,6 @@ def fig19_multicore(
         prefetcher="berti",
         warmup_instructions=warmup_instructions,
         sim_instructions=sim_instructions,
-        kernel=kernel,
         validate=validate,
     )
     # every distinct workload needs one isolation IPC per policy — on the

@@ -17,7 +17,11 @@ nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
 * ``cache=`` (a :class:`~repro.experiments.cache.ResultCache`) makes cells
   content-addressed: a cell whose full config + workload seed was already
   simulated — earlier in the same batch, in a previous call, or in a
-  previous process — is served from disk instead of re-simulated;
+  previous process — is served from disk instead of re-simulated.  Only
+  registry and file workloads (those with a
+  :func:`~repro.workloads.packed.stable_identity`) are cached: the
+  fingerprint cannot tell two ad-hoc workloads apart that differ only in
+  their phases;
 * with or without a cache, a cell already simulated *in this process* is
   served from the in-process result memo (see below), so figures that
   share baselines simulate each distinct cell once.
@@ -301,10 +305,8 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
     config = build_config(cell, workload)
     spec_dump = asdict(cell.spec)
     # validation is observational — a validated run returns the identical
-    # result, so validated and unvalidated cells share cache entries; the
-    # kernel tiers are bit-identical by contract, so they share them too
+    # result, so validated and unvalidated cells share cache entries
     spec_dump.pop("validate", None)
-    spec_dump.pop("kernel", None)
     # sampling, by contrast, changes the result (a reconstruction, not a
     # bit-identical rerun) and so must stay in the fingerprint when set;
     # popped when None so pre-sampling cache entries remain addressable
@@ -777,22 +779,27 @@ def run_cells(
     keys: list[Optional[str]] = [None] * len(cells)
     memo = [obs is None and not cell.spec.validate and cell.workload_obj is None
             for cell in cells]
+    # the fingerprint cannot see everything an ad-hoc workload is (its
+    # phases, say), so only workloads with a stable identity touch the disk
+    cacheable = [cache is not None and (cell.workload_obj is None
+                                        or stable_identity(cell.workload_obj) is not None)
+                 for cell in cells]
     duplicates: dict[int, list[int]] = {}
     pending: list[int] = []
     primary: dict[str, int] = {}
 
     for i, cell in enumerate(cells):
-        if cache is None and not memo[i]:
+        if not cacheable[i] and not memo[i]:
             pending.append(i)
             continue
         key = keys[i] = cell_fingerprint(cell)
         if key in primary:  # identical in-flight cell
             duplicates.setdefault(primary[key], []).append(i)
             continue
-        hit = cache.get(key) if cache is not None else None
+        hit = cache.get(key) if cacheable[i] else None
         if hit is None and memo[i]:
             hit = _memo_get(key)
-            if hit is not None and cache is not None:
+            if hit is not None and cacheable[i]:
                 cache.put(key, hit, meta={"workload": cell.workload})
         if hit is not None:
             results[i] = hit
@@ -812,7 +819,7 @@ def run_cells(
 
     def finish(i: int, result: SimResult) -> None:
         results[i] = result
-        if cache is not None:
+        if cacheable[i]:
             cache.put(keys[i], result, meta={"workload": cells[i].workload})
         if memo[i]:
             _memo_put(keys[i], result)
@@ -822,7 +829,7 @@ def run_cells(
             prog.cell_finish(i, cells[i].workload, _cell_policy(i),
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
-            dup_result = cache.get(keys[dup]) if cache is not None else None
+            dup_result = cache.get(keys[dup]) if cacheable[dup] else None
             results[dup] = dup_result if dup_result is not None else copy(result)
             _COALESCED.inc()
             if on_result is not None:

@@ -64,12 +64,9 @@ class RunSpec:
     #: a validated run produces the same SimResult, so the result cache
     #: deliberately ignores this knob — see `cell_fingerprint`)
     validate: bool = False
-    #: packed kernel tier ("fused", "vectorized", or "auto"); being
-    #: bit-identical, like `validate` it is excluded from the cell fingerprint
-    kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`); a
-    #: sampled result approximates the full window, so — unlike the
-    #: bit-identical knobs above — this DOES enter the cell fingerprint
+    #: sampled result approximates the full window, so — unlike
+    #: `validate` — this DOES enter the cell fingerprint
     sampling: Optional["SamplingConfig"] = None
 
     def base_config(self) -> SimConfig:
@@ -98,7 +95,6 @@ class RunSpec:
             large_page_fraction=self.large_page_fraction,
             prefetcher_extra_storage=ISO_STORAGE_BYTES if self.policy.lower().startswith("iso") else 0,
             validate=self.validate,
-            kernel=self.kernel,
             sampling=self.sampling,
         )
 

@@ -19,12 +19,12 @@ SMARTS/SimPoint tradition adapted to the packed-column store:
    instruction mass of its members.
 3. **Simulate** — only the representative intervals run, *stitched in
    trace order through one engine*: each sub-trace enters the stock packed
-   drive loop (:func:`~repro.cpu.fastpath.drive_packed`, or the
-   vectorized/auto tier per ``config.kernel``) with a short *functional
-   warm-up prefix* as its warm-up region, so measurement starts exactly at
-   the interval boundary.  Because the drive kernels take absolute warm-up
-   limits and ``begin_measurement()`` re-baselines every statistic, the
-   engine is resumable: caches, TLBs, predictors and the page-cross policy's
+   drive loop (:func:`~repro.cpu.fastpath.drive_packed`, the record kernel
+   every run shares) with a short *functional warm-up prefix* as its
+   warm-up region, so measurement starts exactly at the interval boundary.
+   Because the kernel takes absolute warm-up limits and
+   ``begin_measurement()`` re-baselines every statistic, the engine is
+   resumable: caches, TLBs, predictors and the page-cross policy's
    filter state carry across the skipped spans instead of restarting cold
    (or, worse, artificially small) at every representative.
 4. **Reconstruct** — every interval inherits its phase representative's
@@ -51,9 +51,9 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
 # one ``sampled`` increment per sampled run (the per-representative drives
-# additionally count under their kernel's mode)
+# additionally count as ``fused``)
+from repro.cpu.fastpath import drive_packed
 from repro.cpu.simulator import DRIVES as _DRIVES
-from repro.cpu.simulator import packed_driver
 from repro.experiments.stats_ci import BootstrapInterval, bootstrap_statistic
 from repro.obs.tracing import trace_span
 from repro.workloads.packed import PackedTrace, get_packed
@@ -334,8 +334,8 @@ def _sub_pack(packed: PackedTrace, first: int, last: int, *,
     """A :class:`PackedTrace` over records ``[first, last)`` of ``packed``.
 
     Column slices are cheap (``array`` slices copy a few hundred KB at most;
-    shm ``memoryview`` slices are zero-copy) and feed the stock drive
-    kernels unchanged.
+    shm ``memoryview`` slices are zero-copy) and feed the stock record
+    kernel unchanged.
     """
     return PackedTrace(
         packed.name, packed.suite,
@@ -356,7 +356,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
     position, each preceded by a functional warm-up prefix of
     ``warmup_fraction`` times its interval length (never fewer than one
     record, never re-reading records an earlier segment already played).
-    The drive kernels take *absolute* warm-up limits against the engine's
+    The record kernel takes *absolute* warm-up limits against the engine's
     cumulative instruction counter and ``begin_measurement()`` re-baselines
     every statistic, so each segment measures exactly its interval while
     long-range microarchitectural state — cache/TLB footprint, branch
@@ -409,7 +409,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
         with trace_span("phase", workload=workload_name, phase=j,
                         representative=rep, weight=phase.instructions,
                         warmup=sub_warm, sim=inst):
-            wall += packed_driver(sub_config.kernel)(engine, sub, sub_config)
+            wall += drive_packed(engine, sub, sub_config)
         result = collect_result(engine, workload_name, sub_config)
         if checker is not None:
             checker.check_final(engine, result)

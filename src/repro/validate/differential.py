@@ -23,15 +23,12 @@ field by field:
   (:func:`~repro.cpu.simulator.simulate`) is bit-identical to the
   generator oracle (:func:`~repro.cpu.simulator.drive`, one
   ``engine.step`` per record) for every fuzz prefetcher under discard and
-  DRIPPER;
+  DRIPPER, with no prefetcher, under non-LRU L1D replacement, and with the
+  invariant checker attached;
 * **mix-packed-vs-generator** — the production packed mix loop
   (:func:`repro.cpu.multicore.simulate_mix`) equals the generator mix
   oracle (``_drive_mix_generator``) per core, on a mix whose QMM core
   (halved budgets) finishes early and replays through the overflow seam;
-* **vectorized-vs-fused** — the span-skipping vectorized kernel tier
-  (``SimConfig(kernel="vectorized")``) equals the fused tier across its
-  fallback seams: epoch rollovers mid-span, event-dense windows, runs with
-  an ``epoch_listener`` attached, and non-LRU delegation;
 * **invariants-clean** — every (workload × policy) run passes a full
   :class:`~repro.validate.InvariantChecker` pass with zero violations;
 * **mutation detection** — re-introducing the fixed stale-MSHR bug via
@@ -263,111 +260,49 @@ def check_packed_matches_generator(workload_name: str, *, warmup: int,
     fused branches.  DRIPPER additionally runs with a deliberately short
     epoch so the packed loop's *inline* epoch rollover (it no longer bails
     to ``step()`` at epoch boundaries) fires many times per measurement
-    window.
+    window.  Three more cells reach arms the fuzz prefetchers do not:
+
+    * no L1D prefetcher (discard, default and short epoch) — the kernel
+      never dispatches a prefetch;
+    * SRRIP L1D replacement — the cache is not plain-LRU-on-hit, so every
+      L1D access takes the kernel's non-fused lookup arm; the L1D is cut
+      to 16 sets so victim choice matters even at micro windows;
+    * ``validate=True`` — the invariant checker wraps ``begin_measurement``
+      and chains an ``epoch_listener``, both of which the kernel must call
+      exactly where ``engine.step`` would.
     """
     workload = by_name(workload_name)
+    l1d = DEFAULT_PARAMS.l1d
+    srrip = replace(DEFAULT_PARAMS, l1d=replace(
+        l1d, replacement="srrip", size_bytes=16 * l1d.ways * l1d.line_bytes))
+    short_epoch = {"epoch_instructions": 512}
+    # (prefetcher, policy, name suffix, config overrides)
+    cells: list[tuple[str, str, str, dict[str, Any]]] = [
+        (prefetcher, policy, tag, overrides)
+        for prefetcher in _FUZZ_PREFETCHERS
+        for policy, tag, overrides in (("discard", "", {}), ("dripper", "", {}),
+                                       ("dripper", "@512", short_epoch))
+    ]
+    cells += [
+        ("none", "discard", "", {}),
+        ("none", "discard", "@512", short_epoch),
+        (_FUZZ_PREFETCHERS[0], "discard", "@srrip", {"params": srrip}),
+        (_FUZZ_PREFETCHERS[0], "dripper", "@validate", {"validate": True}),
+    ]
     outcomes = []
-    for prefetcher in _FUZZ_PREFETCHERS:
-        for policy, epoch in (("discard", None), ("dripper", None), ("dripper", 512)):
-            spec = _spec(prefetcher, policy, warmup, sim)
-            config = spec.config_for(workload)
-            if epoch is not None:
-                config = replace(config, epoch_instructions=epoch)
-            generator = simulate_generator(workload, config)
-            packed = simulate(workload, config)
-            diffs = result_diff(generator, packed)
-            tag = f"{policy}@{epoch}" if epoch is not None else policy
-            name = f"packed-vs-generator[{workload_name}/{prefetcher}/{tag}]"
-            if diffs:
-                outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-            else:
-                outcomes.append(CheckOutcome(
-                    name, True, f"identical at ipc {generator.ipc:.3f}"
-                ))
-    # vectorized tier against the generator: engaged (span-skipping) for the
-    # no-prefetcher cells, delegating to the fused kernel for real
-    # prefetchers — bit-identical either way
-    for prefetcher, policy, epoch in (
-        ("none", "discard", None),
-        ("none", "discard", 512),
-        (_FUZZ_PREFETCHERS[0], "discard", None),
-    ):
-        spec = _spec(prefetcher, policy, warmup, sim)
-        config = spec.config_for(workload)
-        if epoch is not None:
-            config = replace(config, epoch_instructions=epoch)
+    for prefetcher, policy, tag, overrides in cells:
+        config = replace(_spec(prefetcher, policy, warmup, sim).config_for(workload),
+                         **overrides)
         generator = simulate_generator(workload, config)
-        vectorized = simulate(workload, replace(config, kernel="vectorized"))
-        diffs = result_diff(generator, vectorized)
-        tag = f"{policy}@{epoch}" if epoch is not None else policy
-        name = f"vectorized-vs-generator[{workload_name}/{prefetcher}/{tag}]"
+        packed = simulate(workload, config)
+        diffs = result_diff(generator, packed)
+        name = f"packed-vs-generator[{workload_name}/{prefetcher}/{policy}{tag}]"
         if diffs:
             outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
         else:
             outcomes.append(CheckOutcome(
                 name, True, f"identical at ipc {generator.ipc:.3f}"
             ))
-    return outcomes
-
-
-def check_vectorized_matches_fused(workload_name: str, *, warmup: int,
-                                   sim: int) -> list[CheckOutcome]:
-    """The vectorized tier equals the fused tier across its fallback seams.
-
-    Each cell targets one seam of :mod:`repro.cpu.fastpath_vec`:
-
-    * hit-dominated kernels where nearly every window is one long span
-      (``hot_0``), including a deliberately short epoch so spans run
-      *across* many rollovers (the deferred-epoch segment commit);
-    * a branchy kernel (``hot_3``) whose taken branches pepper the windows
-      with events, exercising the event-run stepping between spans;
-    * the caller's workload — miss-heavy, so spans are short and the
-      residency proofs keep failing over to stepping;
-    * ``validate=True``, which chains an ``epoch_listener`` onto the engine
-      — spans must clip at epoch boundaries and the residency-proof caches
-      must drop after every rollover (and the invariant checker audits the
-      run for free);
-    * a non-LRU replacement policy, which fails the capability probe and
-      must delegate to the fused tier untouched.
-    """
-    outcomes = []
-    cells: list[tuple[str, str, str, dict[str, Any]]] = [
-        ("hot_0", "none", "discard", {}),
-        ("hot_0", "none", "discard", {"epoch_instructions": 512}),
-        ("hot_3", "none", "permit", {}),
-        (workload_name, "none", "discard", {}),
-        ("hot_0", "none", "discard", {"validate": True}),
-    ]
-    for wname, prefetcher, policy, overrides in cells:
-        workload = by_name(wname)
-        config = _spec(prefetcher, policy, warmup, sim).config_for(workload)
-        config = replace(config, **overrides)
-        fused = simulate(workload, config)
-        vectorized = simulate(workload, replace(config, kernel="vectorized"))
-        diffs = result_diff(fused, vectorized)
-        tag = "/".join(f"{k}={v}" for k, v in overrides.items()) or "default"
-        name = f"vectorized-vs-fused[{wname}/{policy}/{tag}]"
-        if diffs:
-            outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-        else:
-            outcomes.append(CheckOutcome(
-                name, True, f"identical at ipc {fused.ipc:.3f}"
-            ))
-    # non-LRU replacement: the capability probe must reject and delegate
-    workload = by_name("hot_0")
-    srrip = replace(DEFAULT_PARAMS, l1d=replace(DEFAULT_PARAMS.l1d, replacement="srrip"))
-    config = replace(_spec("none", "discard", warmup, sim).config_for(workload),
-                     params=srrip)
-    fused = simulate(workload, config)
-    vectorized = simulate(workload, replace(config, kernel="vectorized"))
-    diffs = result_diff(fused, vectorized)
-    name = "vectorized-vs-fused[hot_0/discard/srrip-delegates]"
-    if diffs:
-        outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-    else:
-        outcomes.append(CheckOutcome(
-            name, True, f"identical at ipc {fused.ipc:.3f}"
-        ))
     return outcomes
 
 
@@ -610,8 +545,6 @@ def run_validation_suite(
     record(check_epoch_invariance(anchor, prefetcher=prefetcher,
                                   warmup=warmup, sim=sim))
     for outcome in check_packed_matches_generator(anchor, warmup=warmup, sim=sim):
-        record(outcome)
-    for outcome in check_vectorized_matches_fused(anchor, warmup=warmup, sim=sim):
         record(outcome)
     for outcome in check_sampled_matches_full(anchor, prefetcher=prefetcher,
                                               policy=policies[-1],

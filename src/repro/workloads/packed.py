@@ -72,20 +72,20 @@ _CACHE_CAPACITY = _capacity_from_env()
 
 
 class PackIndex:
-    """Derived per-record arrays the vectorized drive kernel scans.
+    """Derived per-record arrays the phase-sampling signatures read.
 
-    Built once per pack (lazily, on the first vectorized drive) from the
-    numpy column views — epoch/boundary positions come from the cumulative
-    instruction counts, I-line runs from the pc column, and the event mask
-    flags every record the span predicate can never clear by inspection
-    alone (branches, forced mispredicts, dependent loads, non-memory
+    Built once per pack (lazily, on the first :meth:`PackedTrace.index`
+    call) from the numpy column views — interval boundaries come from the
+    cumulative instruction counts, I-line runs from the pc column, and the
+    event mask flags every record that is not a plain, short-gap memory
+    access (branches, forced mispredicts, dependent loads, non-memory
     records, and gaps large enough to trigger straight-line I-fetch).  All
     integer arrays are ``int64`` so downstream arithmetic never hits
     numpy's uint64/int64 promotion rules.
     """
 
-    __slots__ = ("cum", "iline", "change", "vpage", "vline", "event",
-                 "isload", "isstore", "weight")
+    __slots__ = ("cum", "change", "vpage", "vline", "event",
+                 "isload", "isstore")
 
     def __init__(self, packed: "PackedTrace"):
         import numpy as np
@@ -95,7 +95,7 @@ class PackIndex:
         fl = flags.astype(np.int64)
         #: absolute instruction count after record i (engines start at 0)
         self.cum = np.cumsum(1 + g)
-        self.iline = (pcs >> np.uint64(6)).astype(np.int64)
+        iline = (pcs >> np.uint64(6)).astype(np.int64)
         self.vpage = (vaddrs >> np.uint64(12)).astype(np.int64)
         self.vline = (vaddrs >> np.uint64(6)).astype(np.int64)
         #: record i starts a new I-line run (first record always does:
@@ -103,11 +103,10 @@ class PackIndex:
         change = np.empty(len(g), dtype=bool)
         if len(change):
             change[0] = True
-            change[1:] = self.iline[1:] != self.iline[:-1]
+            change[1:] = iline[1:] != iline[:-1]
         self.change = change
-        #: records the span predicate must hand to the slow path regardless
-        #: of cache/TLB state: branch/mispredict/dependent flags, non-memory
-        #: records, and gaps >= 16 (``(gap*4)>>6`` straight-line I-fetch)
+        #: branch/mispredict/dependent flags, non-memory records, and
+        #: gaps >= 16 (``(gap*4)>>6`` straight-line I-fetch)
         self.event = (
             ((fl & (BRANCH | MISPREDICT | DEPENDS)) != 0)
             | ((fl & (LOAD | STORE)) == 0)
@@ -115,9 +114,6 @@ class PackIndex:
         )
         self.isload = (fl & LOAD) != 0
         self.isstore = (fl & STORE) != 0
-        #: per-record instruction weight (1 + gap) as float64; the drive
-        #: kernel multiplies by the engine's fetch/retire CPI per window
-        self.weight = (1 + g).astype(np.float64)
 
 
 class PackedTrace:
@@ -144,7 +140,7 @@ class PackedTrace:
         #: False when the source trace ended before the window was covered
         #: (finite trace shorter than warm-up + measured region)
         self.complete = complete
-        #: lazily built numpy column views / vectorization index
+        #: lazily built numpy column views / sampling index
         self._views = None
         self._index = None
 

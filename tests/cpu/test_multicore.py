@@ -99,12 +99,12 @@ def qmm_workload(name="qmmish", seed=5):
 
 
 class TestConfigKnobs:
-    """simulate_mix used to silently ignore kernel/validate."""
+    """simulate_mix used to silently ignore its config knobs."""
 
     def test_unknown_kernel_rejected(self):
-        mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
-        with pytest.raises(ValueError, match="unknown packed kernel tier"):
-            simulate_mix(mix, replace(quick_config(), kernel="bogus"))
+        # there is one record kernel, so there is no knob to pick a tier
+        with pytest.raises(TypeError, match="kernel"):
+            replace(quick_config(), kernel="fused")
 
     def test_packed_matches_generator(self):
         # include a QMM core: its halved budget makes it finish early and
@@ -115,21 +115,6 @@ class TestConfigKnobs:
         packed = simulate_mix(mix, quick_config())
         for a, b in zip(generator, packed.results):
             assert a == b
-
-    def test_vectorized_kernel_implies_packed(self, monkeypatch):
-        import repro.cpu.multicore as mc
-
-        calls = []
-        real = mc._drive_mix_packed
-
-        def spy(*args, **kwargs):
-            calls.append(True)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mc, "_drive_mix_packed", spy)
-        mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
-        result = simulate_mix(mix, replace(quick_config(), kernel="vectorized"))
-        assert calls and len(result.results) == 2
 
     def test_validate_attaches_checker_per_core(self, monkeypatch):
         from repro.validate import InvariantChecker
@@ -152,6 +137,32 @@ class TestConfigKnobs:
         plain = simulate_mix(mix, quick_config())
         # validation is observational: identical results either way
         assert [r.ipc for r in clean.results] == [r.ipc for r in plain.results]
+
+
+class FiniteWorkload:
+    """A trace that ends long before its window does."""
+
+    name = "finite"
+    suite = "TEST"
+
+    def __init__(self, records: int):
+        self.records = records
+
+    def generate(self):
+        for i in range(self.records):
+            yield 0x400 + (i % 24) * 4, 0x1000 + i * 64, 1 if i % 3 else 2, i % 5
+
+
+class TestIncompletePack:
+    def test_short_trace_wraps_like_the_generator_loop(self):
+        # the finite core's pack holds its whole trace; it runs out of
+        # records during warm-up and again while measuring, and must wrap to
+        # record 0 each time exactly as the oracle restarts its generator
+        mix = [FiniteWorkload(300), workload("plain", 6, footprint_pages=128)]
+        oracle = simulate_mix_generator(mix, quick_config())
+        packed = simulate_mix(mix, quick_config())
+        assert packed.results == oracle
+        assert packed.results[0].instructions >= quick_config().sim_instructions
 
 
 class TestHeapOrder:
@@ -280,12 +291,12 @@ class TestOverflowTailCache:
     """The memoised overflow stream serves the exact uncached records."""
 
     def setup_method(self):
-        from repro.cpu import fastpath_mix
-        fastpath_mix.clear_overflow_tails()
+        from repro.cpu import multicore
+        multicore.clear_overflow_tails()
 
     def test_cached_stream_matches_fresh_iterator(self):
         from itertools import islice
-        from repro.cpu.fastpath_mix import (
+        from repro.cpu.multicore import (
             _TAIL_CACHE, _overflow_iterator, _tail_records,
         )
         # only registry (and file) workloads have an identity to cache under
@@ -304,7 +315,7 @@ class TestOverflowTailCache:
 
     def test_seedless_workloads_are_not_cached(self):
         from itertools import islice
-        from repro.cpu.fastpath_mix import _TAIL_CACHE, _tail_records
+        from repro.cpu.multicore import _TAIL_CACHE, _tail_records
 
         class Anon:
             name = "anon"
@@ -317,26 +328,26 @@ class TestOverflowTailCache:
 
     def test_cap_falls_back_to_private_stream(self, monkeypatch):
         from itertools import islice
-        from repro.cpu import fastpath_mix
-        monkeypatch.setattr(fastpath_mix, "_TAIL_RECORD_CAP", 8)
+        from repro.cpu import multicore
+        monkeypatch.setattr(multicore, "_TAIL_RECORD_CAP", 8)
         w = by_name("mcf")
-        want = list(islice(fastpath_mix._overflow_iterator(w, 10), 40))
-        assert list(islice(fastpath_mix._tail_records(w, 10), 40)) == want
-        (tail,) = fastpath_mix._TAIL_CACHE.values()
+        want = list(islice(multicore._overflow_iterator(w, 10), 40))
+        assert list(islice(multicore._tail_records(w, 10), 40)) == want
+        (tail,) = multicore._TAIL_CACHE.values()
         assert len(tail.records) == 8
 
     def test_mix_results_identical_with_warm_tails(self):
-        from repro.cpu import fastpath_mix
+        from repro.cpu import multicore
 
         mix = [by_name(n) for n in ("astar", "hmmer", "mcf", "qmm_int_13")]
         cold = simulate_mix(mix, quick_config())
-        assert fastpath_mix._TAIL_CACHE  # the QMM core replayed past its pack
+        assert multicore._TAIL_CACHE  # the QMM core replayed past its pack
         warm = simulate_mix(mix, quick_config())
         assert [r.ipc for r in cold.results] == [r.ipc for r in warm.results]
 
     def test_adhoc_workloads_sharing_a_name_get_their_own_tails(self):
         from itertools import islice
-        from repro.cpu.fastpath_mix import _overflow_iterator, _tail_records
+        from repro.cpu.multicore import _overflow_iterator, _tail_records
 
         a = workload("twin", 5)
         b = workload("twin", 5, pattern=Gather, footprint_pages=64)

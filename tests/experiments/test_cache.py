@@ -1,10 +1,11 @@
 """ResultCache: fingerprinting, round-trips, invalidation, corruption."""
 
+import copy
 import json
 from dataclasses import replace
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, canonical_json, fingerprint
-from repro.experiments.parallel import cell_for, cell_fingerprint
+from repro.experiments.parallel import cell_for, cell_fingerprint, clear_result_memo, run_cells
 from repro.experiments.runner import RunSpec, run_one
 from repro.experiments.sweep import dram_latency_transform, stlb_size_transform
 from repro.params import DEFAULT_PARAMS
@@ -58,6 +59,15 @@ class TestFingerprint:
         assert cell_fingerprint(cell_for(w, FAST, epoch_instructions=512)) != \
             cell_fingerprint(cell_for(w, FAST))
 
+    def test_registry_key_is_pinned(self):
+        # an absolute key: entries written by earlier releases (whose RunSpec
+        # still carried a kernel-tier knob) must stay addressable.  Moves only
+        # with CACHE_SCHEMA or a change to the default model parameters.
+        spec = RunSpec(prefetcher="berti", policy="dripper",
+                       warmup_instructions=2_000, sim_instructions=6_000)
+        assert cell_fingerprint(cell_for(by_name("astar"), spec)) == (
+            "1763ab62ffd6b1e31004d55aa4a8279a80afac3c0a70d58d139a0e13dbdcb9f9")
+
 
 class TestResultCache:
     def test_miss_then_roundtrip_exact(self, tmp_path):
@@ -88,6 +98,20 @@ class TestResultCache:
         payload["schema"] = CACHE_SCHEMA + 1
         path.write_text(json.dumps(payload))
         assert cache.get(key) is None
+
+    def test_adhoc_workloads_skip_the_disk_cache(self, tmp_path):
+        # the fingerprint sees name/suite/seed/generator knobs, not phases:
+        # two ad-hoc copies that differ only in phases must not share an entry
+        twin = copy.copy(by_name("astar"))
+        other = copy.copy(by_name("astar"))
+        other.phases = by_name("mcf").phases
+        cache = ResultCache(tmp_path)
+        clear_result_memo()
+        first, second = (run_cells([cell_for(w, FAST)], jobs=1, cache=cache)[0]
+                         for w in (twin, other))
+        assert second == run_cells([cell_for(other, FAST)], jobs=1)[0]
+        assert second.ipc != first.ipc
+        assert cache.stores == 0
 
     def test_unknown_result_field_is_a_miss(self, tmp_path):
         # entries written by a future SimResult layout must not crash

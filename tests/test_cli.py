@@ -22,6 +22,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "astar", "--policy", "magic"])
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--workload", "astar"], ["compare", "--workload", "astar"],
+        ["sweep", "--param", "stlb", "--values", "768", "--workloads", "astar"], ["mix"],
+    ])
+    def test_no_kernel_tier_option(self, command):
+        # every run drives the one record kernel; there is no tier to pick
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--kernel", "fused"])
+
 
 class TestCommands:
     def test_storage(self, capsys):

@@ -9,6 +9,7 @@ from repro.validate.differential import (
     check_discard_source_equivalence,
     check_epoch_invariance,
     check_invariants_clean,
+    check_packed_matches_generator,
     result_diff,
     run_validation_suite,
 )
@@ -78,5 +79,16 @@ class TestSuiteDriver:
             progress=seen.append,
         )
         assert seen == outcomes
+        failed = [o for o in outcomes if not o.passed]
+        assert not failed, "; ".join(f"{o.name}: {o.detail}" for o in failed)
+
+
+class TestPackedOracle:
+    def test_every_kernel_arm_matches_the_generator(self):
+        outcomes = check_packed_matches_generator("hmmer", warmup=WARMUP, sim=SIM)
+        names = {o.name for o in outcomes}
+        for cell in ("none/discard", "none/discard@512", "berti/discard@srrip",
+                     "berti/dripper@validate"):
+            assert f"packed-vs-generator[hmmer/{cell}]" in names
         failed = [o for o in outcomes if not o.passed]
         assert not failed, "; ".join(f"{o.name}: {o.detail}" for o in failed)
