@@ -126,12 +126,7 @@ class TestMixThroughput:
         return doc["mix"]
 
     def test_mix_grid_identical_and_fast(self):
-        from repro.experiments.parallel import (
-            build_mix_config,
-            grid_session,
-            mix_cell_for,
-            run_mix_cells,
-        )
+        from repro.experiments.parallel import grid_session, mix_cell_for, run_cells
         from repro.workloads import make_mixes
 
         recorded = self._baseline()
@@ -143,11 +138,11 @@ class TestMixThroughput:
                  for policy in ("discard", "dripper")]
 
         def packed_grid():
-            with grid_session(2, True):
-                return run_mix_cells(cells, jobs=2)
+            with grid_session(2):
+                return run_cells(cells, jobs=2)
 
         t_serial, serial = _best_of(2, lambda: [
-            simulate_mix_generator(cell.resolve_workloads(), build_mix_config(cell))
+            simulate_mix_generator(cell.resolve_workloads(), cell.config())
             for cell in cells])
         t_packed, packed = _best_of(2, packed_grid)
         for want, got in zip(serial, packed):

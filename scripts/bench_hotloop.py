@@ -12,10 +12,10 @@ the speedup is only meaningful if the answers are bit-identical.
 
 ``--grid`` additionally benchmarks whole-grid execution: the same
 (workload × policy) cell batch dispatched per-cell to a worker pool with
-per-worker packing (the historical parallel grid) versus the
-workload-affine scheduler replaying zero-copy shared-memory packs
-(``grid_session`` + ``run_cells(shm=True)``).  Both leg's results are
-diffed against a serial reference run before any timing is reported.
+per-worker packing (the historical parallel grid) versus ``run_cells``,
+whose workload-affine plan publishes every pack two or more chunks replay
+as zero-copy shared memory.  Both legs' results are diffed against a
+serial reference run before any timing is reported.
 
 ``--sampled`` benchmarks phase-sampled simulation
 (:mod:`repro.experiments.sampling`) instead: one full packed run against
@@ -49,14 +49,11 @@ from repro.experiments import RunSpec, format_table
 from repro.experiments.parallel import (
     _init_worker,
     _run_chunk_worker,
-    build_mix_config,
     cell_for,
     clear_result_memo,
-    execute_cell,
     grid_session,
     mix_cell_for,
     run_cells,
-    run_mix_cells,
 )
 from repro.validate import result_diff, simulate_generator, simulate_mix_generator
 from repro.workloads import by_name, clear_pack_cache, get_packed, make_mixes
@@ -165,7 +162,7 @@ def _legacy_grid(cells, jobs: int):
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                              initargs=(None, ())) as pool:
         futures = [
-            pool.submit(_run_chunk_worker, execute_cell, [(i, cell)], (), False)
+            pool.submit(_run_chunk_worker, [(i, cell)], (), False)
             for i, cell in enumerate(cells)
         ]
         for future in as_completed(futures):
@@ -178,8 +175,7 @@ def _legacy_grid(cells, jobs: int):
 def _shm_grid(cells, jobs: int):
     """The shm + workload-affine grid (a fresh session per run, like a CLI call)."""
     clear_result_memo()  # every repeat must simulate, not replay the memo
-    with grid_session(jobs, True):
-        return run_cells(cells, jobs=jobs, shm=True)
+    return run_cells(cells, jobs=jobs)
 
 
 def bench_grid(workloads, policies, prefetcher: str, warmup: int, sim: int,
@@ -240,13 +236,12 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
     cells = [mix_cell_for(mix, spec, policy=policy, mix_id=i)
              for i, mix in enumerate(mixes) for policy in policies]
 
-    with grid_session(jobs, True):
+    with grid_session(jobs):
         t_serial, serial_results, t_packed, packed_results, speedup = _best_of_interleaved(
             repeats,
-            lambda: [simulate_mix_generator(cell.resolve_workloads(),
-                                            build_mix_config(cell))
+            lambda: [simulate_mix_generator(cell.resolve_workloads(), cell.config())
                      for cell in cells],
-            lambda: run_mix_cells(cells, jobs=jobs),
+            lambda: run_cells(cells, jobs=jobs),
         )
     for cell, want, got in zip(cells, serial_results, packed_results):
         for core, (a, b) in enumerate(zip(want, got.results)):

@@ -43,11 +43,10 @@ shm-attach, drive, collect, cache-write — loadable in Perfetto or
 pids).  ``compare``, ``sweep`` and ``mix`` run their grids on one
 worker process per usable CPU; they additionally accept ``--jobs`` (worker
 count; ``--jobs 1`` runs in process), ``--cache-dir`` (content-addressed
-result cache; unchanged cells are never re-simulated), ``--shm``/``--no-shm``
-(publish every / no workload's packed trace through shared memory; by
-default only a trace two or more worker chunks replay is published, the
-rest are packed by the worker that needs them), and ``--progress`` (live
-per-cell progress lines with ETA on stderr).
+result cache; unchanged cells are never re-simulated) and ``--progress``
+(live per-cell progress lines with ETA on stderr).  A packed trace that two
+or more worker chunks replay is published to the workers through shared
+memory; the rest are packed by the worker that needs them.
 
 ``status`` summarises a finished (or in-flight) run journal — runs,
 workloads, policies, wall time, aggregate simulation throughput, per-policy
@@ -277,7 +276,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     cells = [cell_for(workload, _spec(args, policy)) for policy in args.policies]
     results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
-                        shm=args.shm, progress=_progress_sink(args))
+                        progress=_progress_sink(args))
     base = results[0]
     speedups = [_speedup_cell(r, base) for r in results]
     if args.json:
@@ -328,7 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     obs = _make_obs(args)
     cache = _make_cache(args)
     common = dict(base_spec=spec, obs=obs, jobs=args.jobs, cache=cache,
-                  shm=args.shm, progress=_progress_sink(args))
+                  progress=_progress_sink(args))
     if args.param == "epoch":
         epoch_data = sweep_epoch_length(workloads, args.values, **common)
         data = {value: {"dripper": pct} for value, pct in epoch_data.items()}
@@ -491,7 +490,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         obs=obs,
-        shm=args.shm,
         validate=args.validate,
         progress=_progress_sink(args),
     )
@@ -712,14 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="content-addressed result cache; unchanged cells are "
                             "served from disk instead of re-simulated")
-        shm = g.add_mutually_exclusive_group()
-        shm.add_argument("--shm", dest="shm", action="store_true", default=None,
-                         help="publish every packed trace to the workers "
-                              "through shared memory (default: only traces "
-                              "two or more worker chunks replay)")
-        shm.add_argument("--no-shm", dest="shm", action="store_false",
-                         help="disable the shared-memory pack store; workers "
-                              "pack their own traces")
         g.add_argument("--progress", action="store_true",
                        help="print live per-cell progress (with ETA and "
                             "throughput) to stderr as grid cells land")

@@ -55,6 +55,7 @@ from repro.mem.cache import Cache
 from repro.mem.dram import Dram
 from repro.obs.tracing import trace_span
 from repro.workloads.packed import stable_identity
+from repro.workloads.suites import run_window
 from repro.workloads.synthetic import SyntheticWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,6 +109,11 @@ class MixResult:
     def ipcs(self) -> list[float]:
         """Per-core measured IPCs, in workload order."""
         return [r.ipc for r in self.results]
+
+    @property
+    def instructions(self) -> int:
+        """Measured-region instructions summed over the cores."""
+        return sum(r.instructions for r in self.results)
 
     def weighted_ipc(self, isolation_ipcs: Sequence[float]) -> float:
         """Sum over cores of IPC_multicore / IPC_isolation."""
@@ -370,9 +376,8 @@ def build_mix(
     budgets = []
     core_configs = []
     for i, workload in enumerate(workloads):
-        warmup, sim = config.warmup_instructions, config.sim_instructions
-        if workload.suite.startswith("QMM"):
-            warmup, sim = warmup // 2, sim // 2
+        warmup, sim = run_window(workload, config.warmup_instructions,
+                                 config.sim_instructions)
         core_config = replace(config, params=params, asid=i,
                               warmup_instructions=warmup, sim_instructions=sim)
         engines.append(build_engine(core_config, shared_llc=llc, shared_dram=dram))
@@ -443,8 +448,8 @@ def isolation_ipc(
     Delegates to :func:`~repro.cpu.simulator.simulate`, so the config's
     ``validate`` knob is honoured the same way a single-core run honours it.
     """
-    iso_config = replace(config, params=config.params.scaled_llc(cores))
-    warmup, sim = config.warmup_instructions, config.sim_instructions
-    if workload.suite.startswith("QMM"):
-        iso_config = replace(iso_config, warmup_instructions=warmup // 2, sim_instructions=sim // 2)
+    warmup, sim = run_window(workload, config.warmup_instructions,
+                             config.sim_instructions)
+    iso_config = replace(config, params=config.params.scaled_llc(cores),
+                         warmup_instructions=warmup, sim_instructions=sim)
     return simulate(workload, iso_config, obs=obs).ipc

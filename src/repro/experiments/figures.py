@@ -418,7 +418,6 @@ def fig19_multicore(
     jobs: Optional[int] = None,
     cache=None,
     obs=None,
-    shm: Optional[bool] = None,
     validate: bool = False,
     progress=None,
 ):
@@ -427,19 +426,15 @@ def fig19_multicore(
     The first policy is the normalisation baseline (the paper's Discard
     PGC); every other policy is reported as a per-mix weighted-speedup
     distribution plus its geomean.  The paper runs 300 mixes
-    (``n_mixes=300``); mixes fan out as affine chunks (one mix per worker
-    chunk) on every usable CPU unless ``jobs=`` says otherwise, and ``cache=``
-    (a :class:`~repro.experiments.cache.ResultCache`) to dedupe the
-    isolation runs — every workload × policy isolation IPC is an ordinary
+    (``n_mixes=300``).  The isolation runs and the mixes are one
+    :func:`~repro.experiments.parallel.run_cells` batch — each mix its own
+    chunk — on every usable CPU unless ``jobs=`` says otherwise, so a pack
+    that isolation and mix runs share is placed once.  ``cache=`` (a
+    :class:`~repro.experiments.cache.ResultCache`) dedupes the isolation
+    runs: every workload × policy isolation IPC is an ordinary
     content-addressed cell, shared across all mixes that draw it.
     """
-    from repro.experiments.parallel import (
-        cell_for,
-        grid_session,
-        mix_cell_for,
-        run_cells,
-        run_mix_cells,
-    )
+    from repro.experiments.parallel import cell_for, mix_cell_for, run_cells
     from repro.params import DEFAULT_PARAMS
 
     if len(policies) < 2:
@@ -466,11 +461,9 @@ def fig19_multicore(
         for policy in policies
         for i, mix in enumerate(mixes)
     ]
-    with grid_session(jobs, shm):
-        iso_flat = run_cells(iso_cells, jobs=jobs, cache=cache, obs=obs,
-                             shm=shm, progress=progress)
-        mix_flat = run_mix_cells(mix_cells, jobs=jobs, obs=obs, shm=shm,
-                                 progress=progress)
+    flat = run_cells([*iso_cells, *mix_cells], jobs=jobs, cache=cache, obs=obs,
+                     progress=progress)
+    iso_flat, mix_flat = flat[:len(iso_cells)], flat[len(iso_cells):]
     names = list(unique)
     iso_ipc = {
         (policy, name): iso_flat[p * len(names) + n].ipc

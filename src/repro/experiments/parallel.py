@@ -1,8 +1,14 @@
 """Parallel, cached execution of experiment-grid cells.
 
-Every grid helper (``run_many``/``run_policies``/the sweeps) lowers its loop
-nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
-(workload × spec × overrides) point — and hands them to :func:`run_cells`:
+Every grid helper (``run_many``/``run_policies``/the sweeps/the paper
+exhibits) lowers its loop nest to a flat list of cells and hands them to
+:func:`run_cells`, the one grid pipeline.  A cell is a picklable description
+of one simulation: a :class:`Cell` is one (workload × spec × overrides)
+point, a :class:`MixCell` one multi-core workload mix.  Both say, through
+the same few members, how to run themselves (``execute``), which
+``(workload, warmup, sim)`` packs they replay (``packs``), their progress
+``label`` and ``policy_name``, and whether a result may be cached
+(``cacheable``) or memoised (``memoisable``) — a mix never is.
 
 * ``jobs=None`` (the default) runs the batch on every usable CPU — the
   process's affinity mask, capped by the batch's chunk count — and falls
@@ -33,38 +39,43 @@ and ``validate`` off; every other cell always simulates.  The disk cache
 is consulted first (its accounting is unchanged) and a memo-served miss is
 still stored.  :func:`clear_result_memo` empties it.
 
-Scheduling is **workload-affine**: pending cells are grouped by workload
-identity and pack window, and each worker receives whole per-workload chunks
-— so it materialises (or shm-attaches) a workload's pack once and replays it
-across all of that workload's (prefetcher × policy × params) cells, instead
-of thrashing the pack cache by round-robining across workloads.
+Scheduling is **workload-affine**: pending single-core cells are grouped by
+workload identity and pack window, and each worker receives whole
+per-workload chunks — so it materialises (or shm-attaches) a workload's
+pack once and replays it across all of that workload's (prefetcher ×
+policy × params) cells, instead of thrashing the pack cache by
+round-robining across workloads.  A mix is always its own chunk: a worker
+steps all of its cores against their shared LLC+DRAM without interleaving
+other work, and a mix's policies (identical pack tuples) still spread over
+the pool.
 
 Chunks dispatch **costliest-first**: each chunk's wall-clock is estimated as
 pack record count × the relative drive-loop weight of its cells' page-cross
-policies (:func:`chunk_cost`), and the pool drains the estimates in
-descending order.  On skewed grids — one 10×-longer workload window, or a
-handful of heavyweight DRIPPER/PPF cells amid cheap discard ones — this
-keeps the long poles from landing last and serialising the batch tail; on
-uniform grids it degrades to the old largest-chunk-first order.
+policies (:func:`chunk_cost`; a mix counts the records of all its cores),
+and the pool drains the estimates in descending order.  On skewed grids —
+one 10×-longer workload window, or a handful of heavyweight DRIPPER/PPF
+cells amid cheap discard ones — this keeps the long poles from landing
+last and serialising the batch tail; on uniform grids it degrades to the
+old largest-chunk-first order.
 
 **Pack placement** follows the batch plan.  A workload window that two or
-more chunks (or mixes) of the batch replay is packed once by the parent and
-published through a :class:`~repro.workloads.shm.SharedPackStore`; those
-chunks carry its :class:`~repro.workloads.shm.PackHandle` and the workers
-replay zero-copy views.  A window only one chunk replays is packed by the
-worker that owns the chunk, so packing runs in parallel instead of serially
-in the parent before dispatch (a window an earlier batch of the session
-already published is handed over all the same).  ``shm=True`` publishes
-every window, ``shm=False`` none.  Cells whose workload cannot be published
-(no cross-process identity, empty pack) simply pack in the worker — placement
-is a pure transport choice on top of the bit-identical packed kernel.
+more chunks of the batch replay (single-core chunks and mixes alike) is
+packed once by the parent and published through a
+:class:`~repro.workloads.shm.SharedPackStore`; those chunks carry its
+:class:`~repro.workloads.shm.PackHandle` and the workers replay zero-copy
+views.  A window only one chunk replays is packed by the worker that owns
+the chunk, so packing runs in parallel instead of serially in the parent
+before dispatch (a window an earlier batch of the session already
+published is handed over all the same).  Cells whose workload cannot be
+published (no cross-process identity, empty pack) simply pack in the
+worker — placement is a pure transport choice on top of the bit-identical
+packed kernel.
 
 :func:`grid_session` keeps one worker pool (and one pack store) alive across
-several ``run_cells`` batches — ``run_policies``, the sweeps and every
-multi-batch paper exhibit wrap their batches in it, so each forks its pool
-once instead of once per batch.  Pools never outlive their session: a
-process-lifetime pool would keep running code forked before a later
-monkeypatch or cache clear.
+several ``run_cells`` batches — every multi-batch paper exhibit wraps its
+batches in it, so each forks its pool once instead of once per batch.
+Pools never outlive their session: a process-lifetime pool would keep
+running code forked before a later monkeypatch or cache clear.
 
 Worker death: if a worker process dies mid-batch (a SIGKILL, the OOM
 killer), the batch raises :class:`GridWorkerLost` naming every cell whose
@@ -102,7 +113,7 @@ from contextlib import contextmanager
 from copy import copy
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 from time import perf_counter
 
@@ -117,13 +128,15 @@ from repro.params import SystemParams
 from repro.workloads.packed import clear_pack_cache, stable_identity
 from repro.workloads.registry import by_name
 from repro.workloads.shm import PackHandle, SharedPackStore, install_attachments
+from repro.workloads.suites import run_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.multicore import MixResult
     from repro.obs import Observability
 
-#: callback fired as each cell's result lands: (cell index, result, cached?)
-ResultHook = Callable[[int, SimResult, bool], None]
+#: callback fired as each cell's result lands: (cell index, result, cached?);
+#: the result is a SimResult for a Cell, a MixResult for a MixCell
+ResultHook = Callable[[int, Any, bool], None]
 
 #: in-flight duplicate cells served off a primary cell's fresh entry
 #: (the third leg of the result-cache story next to hits/misses)
@@ -266,6 +279,119 @@ class Cell:
             return self.workload_obj
         return by_name(self.workload)
 
+    @property
+    def policy_name(self) -> str:
+        """The page-cross policy this cell runs (override, else the spec's)."""
+        return self.policy or self.spec.policy
+
+    def label(self) -> str:
+        """Display label for progress lines and lost-cell reports."""
+        return self.workload
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether a ResultCache may store this cell: the fingerprint cannot
+        see everything an ad-hoc workload is (its phases, say), so only
+        workloads with a stable identity touch the disk."""
+        return self.workload_obj is None or stable_identity(self.workload_obj) is not None
+
+    @property
+    def memoisable(self) -> bool:
+        """Whether the in-process result memo may serve this cell (registry
+        workloads with validation off; the batch's ``obs`` must be None)."""
+        return self.workload_obj is None and not self.spec.validate
+
+    def packs(self) -> tuple[tuple[Any, int, int], ...]:
+        """The ``(workload, warmup, sim)`` pack this cell replays — exactly
+        the window ``get_packed`` is called with inside the run."""
+        workload = self.resolve_workload()
+        return ((workload, *run_window(workload, self.spec.warmup_instructions,
+                                       self.spec.sim_instructions)),)
+
+    def execute(self, *, obs: Optional["Observability"] = None) -> SimResult:
+        """Simulate this cell in the current process."""
+        workload = self.resolve_workload()
+        config = build_config(self, workload)
+        start = perf_counter()
+        with trace_span("cell", category="grid",
+                        workload=self.workload, policy=self.policy_name):
+            if obs is not None:
+                with obs.scoped(spec=asdict(self.spec), **(self.context or {})):
+                    result = simulate(workload, config, obs=obs)
+            else:
+                result = simulate(workload, config, obs=obs)
+        _record_cell(perf_counter() - start, result.instructions)
+        return result
+
+
+@dataclass(frozen=True)
+class MixCell:
+    """One picklable multi-core grid cell: a workload mix + spec + policy.
+
+    ``workloads`` are registry names (mixes come from
+    :func:`~repro.workloads.make_mixes`, which draws from the registry), so
+    a mix cell crosses process boundaries by name alone.  ``policy``
+    overrides only the policy *factory*, exactly like :class:`Cell`.  A mix
+    is never cached or memoised: the cacheable unit is the *isolation* run,
+    which is an ordinary :class:`Cell`.
+    """
+
+    workloads: tuple[str, ...]
+    spec: RunSpec
+    policy: Optional[str] = None
+    mix_id: Optional[int] = None
+
+    cacheable = False
+    memoisable = False
+
+    def resolve_workloads(self) -> list[Any]:
+        """The workload objects this mix runs, in core order."""
+        return [by_name(name) for name in self.workloads]
+
+    @property
+    def policy_name(self) -> str:
+        """The page-cross policy every core runs (override, else the spec's)."""
+        return self.policy or self.spec.policy
+
+    def label(self) -> str:
+        """Display label for progress lines (``mix-<id>``)."""
+        return f"mix-{self.mix_id}" if self.mix_id is not None else "mix"
+
+    def config(self) -> SimConfig:
+        """The mix's shared SimConfig, with the nominal windows
+        (:func:`~repro.cpu.multicore.build_mix` sizes each core's)."""
+        config = self.spec.base_config()
+        if self.policy is not None:
+            config.policy_factory = policy_factory(self.policy, self.spec.prefetcher)
+        return config
+
+    def packs(self) -> tuple[tuple[Any, int, int], ...]:
+        """One ``(workload, warmup, sim)`` pack per core, in core order."""
+        return tuple((w, *run_window(w, self.spec.warmup_instructions,
+                                     self.spec.sim_instructions))
+                     for w in self.resolve_workloads())
+
+    def execute(self, *, obs: Optional["Observability"] = None) -> "MixResult":
+        """Simulate this mix in the current process."""
+        from repro.cpu.multicore import simulate_mix
+
+        workloads = self.resolve_workloads()
+        start = perf_counter()
+        with trace_span("mix-cell", category="grid", mix=self.mix_id,
+                        policy=self.policy_name, cores=len(workloads)):
+            if obs is not None:
+                with obs.scoped(spec=asdict(self.spec)):
+                    result = simulate_mix(workloads, self.config(), obs=obs,
+                                          mix_id=self.mix_id)
+            else:
+                result = simulate_mix(workloads, self.config(), mix_id=self.mix_id)
+        _record_cell(perf_counter() - start, result.instructions)
+        return result
+
+
+#: anything :func:`run_cells` runs
+GridCell = Union[Cell, MixCell]
+
 
 def cell_for(workload: Any, spec: RunSpec, **overrides: Any) -> Cell:
     """Build a Cell, carrying the workload by registry name when possible."""
@@ -275,6 +401,15 @@ def cell_for(workload: Any, spec: RunSpec, **overrides: Any) -> Cell:
         spec=spec,
         workload_obj=(None if identity is not None and identity[0] == "registry"
                       else workload),
+        **overrides,
+    )
+
+
+def mix_cell_for(mix: Sequence[Any], spec: RunSpec, **overrides: Any) -> MixCell:
+    """Build a MixCell from workload objects (carried by registry name)."""
+    return MixCell(
+        workloads=tuple(getattr(w, "name", str(w)) for w in mix),
+        spec=spec,
         **overrides,
     )
 
@@ -350,23 +485,6 @@ def _grid_metrics():
     return _GRID_METRICS
 
 
-def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None) -> SimResult:
-    """Simulate one cell in the current process."""
-    workload = cell.resolve_workload()
-    config = build_config(cell, workload)
-    policy = cell.policy or cell.spec.policy
-    start = perf_counter()
-    with trace_span("cell", category="grid",
-                    workload=cell.workload, policy=policy):
-        if obs is not None:
-            with obs.scoped(spec=asdict(cell.spec), **(cell.context or {})):
-                result = simulate(workload, config, obs=obs)
-        else:
-            result = simulate(workload, config, obs=obs)
-    _record_cell(perf_counter() - start, result.instructions)
-    return result
-
-
 def _record_cell(wall: float, instructions: int) -> None:
     """Account one executed grid cell (single-core or mix) to this pid."""
     cells, simulated, wall_seconds, cell_seconds = _grid_metrics()
@@ -436,16 +554,14 @@ def _chunk_obs() -> Optional["Observability"]:
 
 
 def _run_chunk_worker(
-    execute: Callable[..., Any],
-    items: Sequence[tuple[int, Any]],
+    items: Sequence[tuple[int, GridCell]],
     handles: Sequence[PackHandle],
     use_journal: bool,
     trace_dir: Optional[str] = None,
     copies: int = 0,
 ) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
     """Run one chunk — a workload-affine run of cells, or one mix — in this
-    worker process; ``execute`` is :func:`execute_cell` or
-    :func:`execute_mix_cell`.
+    worker process.
 
     Returns the chunk's results plus a metrics *delta* — everything this
     worker's registry accumulated during the chunk, relative to a snapshot
@@ -466,7 +582,7 @@ def _run_chunk_worker(
     mark = registry.snapshot()
     obs = _chunk_obs() if use_journal else None
     try:
-        out = [(i, execute(cell, obs=obs)) for i, cell in items]
+        out = [(i, cell.execute(obs=obs)) for i, cell in items]
         _record_copies(copies)
     finally:
         if obs is not None:
@@ -490,8 +606,7 @@ class _GridSession:
     process forks nothing and touches no shared memory.
     """
 
-    def __init__(self, shm: Optional[bool]):
-        self.shm = shm
+    def __init__(self) -> None:
         self.store: Optional[SharedPackStore] = None
         self.shard_dir: Optional[str] = None
         self.trace_dir: Optional[str] = None
@@ -525,32 +640,29 @@ class _GridSession:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def place(self, chunks: Sequence["_Chunk"], shm: Optional[bool]) -> list["_Task"]:
+    def place(self, chunks: Sequence["_Chunk"]) -> list["_Task"]:
         """Attach each chunk's pack handles per the placement rule (module
         docstring) and estimate its cost from the pack lengths."""
-        if self.shm is not None:
-            shm = self.shm
-        uses = Counter(key for _execute, _items, packs, _weight in chunks
+        uses = Counter(key for _items, packs, _weight in chunks
                        for key in {(id(w), warmup, sim) for w, warmup, sim in packs})
         tasks: list[_Task] = []
-        for execute, items, packs, weight in chunks:
+        for items, packs, weight in chunks:
             handles: list[PackHandle] = []
             records = 0
             for workload, warmup, sim in packs:
                 handle = None
-                share = shm if shm is not None else uses[(id(workload), warmup, sim)] >= 2
-                if share:
+                if uses[(id(workload), warmup, sim)] >= 2:
                     if self.store is None:
                         self.store = SharedPackStore()
                     handle = self.store.publish(workload, warmup, sim)
-                elif shm is None and self.store is not None:
+                elif self.store is not None:
                     handle = self.store.handle_for(workload, warmup, sim)
                 if handle is not None:
                     handles.append(handle)
                 # pack length when published; the window is the proxy
                 # otherwise (records ≈ instructions for gap-light traces)
                 records += handle.n_records if handle is not None else warmup + sim
-            tasks.append((execute, items, tuple(handles), weight * records))
+            tasks.append((items, tuple(handles), weight * records))
         return tasks
 
     def close(self) -> None:
@@ -566,22 +678,19 @@ _SESSION: Optional[_GridSession] = None
 
 
 @contextmanager
-def grid_session(jobs: Optional[int] = None,
-                 shm: Optional[bool] = None) -> Iterator[Optional[_GridSession]]:
+def grid_session(jobs: Optional[int] = None) -> Iterator[Optional[_GridSession]]:
     """Reuse one pool/pack store across every ``run_cells`` batch inside.
 
-    ``run_policies``, the sweeps and the multi-batch paper exhibits wrap
-    their batches in this, so a grid spanning several batches forks its
-    workers once and publishes each shared pack once.  Nesting is a no-op
-    (the outermost session wins), as are ``jobs=1`` and running inside a
-    grid worker.  ``shm=None`` places packs by the batch plan; ``True`` or
-    ``False`` overrides every batch inside.
+    The multi-batch paper exhibits wrap their batches in this, so a grid
+    spanning several batches forks its workers once and publishes each
+    shared pack once.  Nesting is a no-op (the outermost session wins), as
+    are ``jobs=1`` and running inside a grid worker.
     """
     global _SESSION
     if _SESSION is not None or (jobs is not None and jobs <= 1) or _IN_WORKER:
         yield _SESSION
         return
-    session = _GridSession(shm)
+    session = _GridSession()
     _SESSION = session
     try:
         yield session
@@ -593,32 +702,20 @@ def grid_session(jobs: Optional[int] = None,
 def _affine_groups(
     cells: Sequence[Cell], pending: Sequence[int]
 ) -> list[tuple[list[int], Any, int, int]]:
-    """Group pending cell indices by (workload identity, pack window).
+    """Group pending single-core cell indices by the pack they replay.
 
     Returns ``(indices, workload, warmup, sim)`` per group, in first-seen
-    order.  The window comes from each cell's *built* config (so per-suite
-    adjustments like QMM half-length windows are respected), which is also
-    exactly the window ``get_packed`` will be called with inside the run.
+    order.  The window is :meth:`Cell.packs`'s, so per-suite adjustments
+    like QMM half-length windows are respected.
     """
     groups: dict[tuple, tuple[list[int], Any, int, int]] = {}
-    order: list[tuple] = []
     for i in pending:
-        cell = cells[i]
-        workload = cell.resolve_workload()
-        config = build_config(cell, workload)
-        key = (
-            cell.workload,
-            id(cell.workload_obj) if cell.workload_obj is not None else None,
-            config.warmup_instructions,
-            config.sim_instructions,
-        )
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = ([], workload, config.warmup_instructions,
-                                   config.sim_instructions)
-            order.append(key)
-        group[0].append(i)
-    return [groups[key] for key in order]
+        ((workload, warmup, sim),) = cells[i].packs()
+        key = (id(workload), warmup, sim)
+        if key not in groups:
+            groups[key] = ([], workload, warmup, sim)
+        groups[key][0].append(i)
+    return list(groups.values())
 
 
 #: relative drive-loop cost per page-cross policy, against the discard
@@ -640,31 +737,29 @@ def policy_cost_weight(name: str) -> float:
     return _POLICY_COST.get(name.lower(), 1.0)
 
 
-def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
+def chunk_cost(cells: Sequence[GridCell], indices: Sequence[int],
                records: int) -> float:
-    """Estimated wall-clock weight of one workload-affine chunk.
+    """Estimated wall-clock weight of one chunk.
 
     ``records`` is the chunk's pack length (every cell replays the whole
-    pack, so per-cell work is proportional to it); each cell contributes
+    pack, so per-cell work is proportional to it; for a mix, the record
+    mass of all its cores); each cell contributes
     ``records × policy_cost_weight(policy)``.  Used to dispatch chunks
     costliest-first — see the module docstring.
     """
     return float(records) * sum(
-        policy_cost_weight(cells[i].policy or cells[i].spec.policy)
-        for i in indices)
+        policy_cost_weight(cells[i].policy_name) for i in indices)
 
 
-#: one planned chunk: (execute_cell | execute_mix_cell, [(index, cell)], the
-#: (workload, warmup, sim) packs it replays, cost weight per pack record)
-_Chunk = tuple[Callable[..., Any], list[tuple[int, Any]],
-               tuple[tuple[Any, int, int], ...], float]
+#: one planned chunk: ([(index, cell)], the (workload, warmup, sim) packs it
+#: replays, cost weight per pack record)
+_Chunk = tuple[list[tuple[int, GridCell]], tuple[tuple[Any, int, int], ...], float]
 #: one pool task: a chunk with its pack handles and estimated cost
-_Task = tuple[Callable[..., Any], list[tuple[int, Any]], tuple[PackHandle, ...], float]
+_Task = tuple[list[tuple[int, GridCell]], tuple[PackHandle, ...], float]
 
 
 def _dispatch_chunks(
     workers: int,
-    shm: Optional[bool],
     obs: Optional["Observability"],
     prog: Optional[GridProgress],
     finish: Callable[[int, Any], None],
@@ -672,7 +767,7 @@ def _dispatch_chunks(
     describe: Callable[[int], str],
     copies: Optional[dict[int, list[int]]] = None,
 ) -> None:
-    """The pool half of :func:`run_cells` and :func:`run_mix_cells`.
+    """The pool half of :func:`run_cells`.
 
     The chunks get their pack handles (see :meth:`_GridSession.place`) and
     are submitted to the session's pool costliest-first; each landed result
@@ -692,18 +787,18 @@ def _dispatch_chunks(
     session = _SESSION
     ephemeral = session is None
     if ephemeral:
-        session = _GridSession(shm)
+        session = _GridSession()
     try:
-        tasks = sorted(session.place(chunks, shm), key=lambda t: -t[3])
+        tasks = sorted(session.place(chunks), key=lambda t: -t[2])
         pool = session.pool(workers)
         trace_dir = session.trace_dir if current_tracer() is not None else None
         copies = copies or {}
         futures = {
-            pool.submit(_run_chunk_worker, execute, items, handles,
+            pool.submit(_run_chunk_worker, items, handles,
                         journal is not None, trace_dir,
                         sum(len(copies.get(i, ())) for i, _ in items)):
                 [i for i, _ in items]
-            for execute, items, handles, _cost in tasks
+            for items, handles, _cost in tasks
         }
         registry = get_metrics()
         landed_futures = set()
@@ -742,30 +837,29 @@ def _dispatch_chunks(
 
 
 def run_cells(
-    cells: Sequence[Cell],
+    cells: Sequence[GridCell],
     *,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     obs: Optional["Observability"] = None,
     on_result: Optional[ResultHook] = None,
-    shm: Optional[bool] = None,
     progress: Optional[ProgressSink] = None,
-) -> list[SimResult]:
+) -> list[Any]:
     """Execute a batch of cells; results come back in input order.
 
+    A :class:`Cell` yields a :class:`SimResult`, a :class:`MixCell` a
+    :class:`~repro.cpu.multicore.MixResult`; one batch may hold both, so
+    packs shared by single-core and mix cells are placed by one plan.
     ``jobs=None`` runs on every usable CPU unless the batch has to run in
     process (:func:`resolve_workers`); ``on_result`` and ``progress`` then
-    fire in completion order.  Cells are looked up by fingerprint in the
-    cache (when given), then — if memo-eligible (see the module docstring)
-    — in the in-process result memo.  Identical cells of one batch that
-    either can serve are coalesced: the first occurrence simulates, the
-    rest are served from its result (they count as cached), so a batch
-    simulates each distinct cell once on a pool too.  Only simulated cells
-    are journaled — the journal stays a log of actual simulations, while
-    cache stats account for the saved ones.
-
-    ``shm`` picks pack placement (module docstring); inside a
-    :func:`grid_session` a session-level ``True``/``False`` wins.
+    fire in completion order.  Cacheable cells are looked up by fingerprint
+    in the cache (when given), then — if memoisable (see the module
+    docstring) — in the in-process result memo.  Identical cells of one
+    batch that either can serve are coalesced: the first occurrence
+    simulates, the rest are served from its result (they count as cached),
+    so a batch simulates each distinct cell once on a pool too.  Only
+    simulated cells are journaled — the journal stays a log of actual
+    simulations, while cache stats account for the saved ones.
 
     ``progress`` (see :mod:`repro.obs.progress`) receives one structured
     event per grid milestone: batch start (with the resolved worker count),
@@ -775,15 +869,10 @@ def run_cells(
     cells = list(cells)
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results: list[Optional[SimResult]] = [None] * len(cells)
+    results: list[Any] = [None] * len(cells)
     keys: list[Optional[str]] = [None] * len(cells)
-    memo = [obs is None and not cell.spec.validate and cell.workload_obj is None
-            for cell in cells]
-    # the fingerprint cannot see everything an ad-hoc workload is (its
-    # phases, say), so only workloads with a stable identity touch the disk
-    cacheable = [cache is not None and (cell.workload_obj is None
-                                        or stable_identity(cell.workload_obj) is not None)
-                 for cell in cells]
+    memo = [obs is None and cell.memoisable for cell in cells]
+    cacheable = [cache is not None and cell.cacheable for cell in cells]
     duplicates: dict[int, list[int]] = {}
     pending: list[int] = []
     primary: dict[str, int] = {}
@@ -814,10 +903,7 @@ def run_cells(
     _record_batch(workers, serial_reason, prog, len(cells),
                   sum(1 for r in results if r is not None))
 
-    def _cell_policy(i: int) -> str:
-        return cells[i].policy or cells[i].spec.policy
-
-    def finish(i: int, result: SimResult) -> None:
+    def finish(i: int, result: Any) -> None:
         results[i] = result
         if cacheable[i]:
             cache.put(keys[i], result, meta={"workload": cells[i].workload})
@@ -826,7 +912,7 @@ def run_cells(
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
-            prog.cell_finish(i, cells[i].workload, _cell_policy(i),
+            prog.cell_finish(i, cells[i].label(), cells[i].policy_name,
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
             dup_result = cache.get(keys[dup]) if cacheable[dup] else None
@@ -835,29 +921,34 @@ def run_cells(
             if on_result is not None:
                 on_result(dup, results[dup], True)
             if prog is not None:
-                prog.cell_finish(dup, cells[dup].workload, _cell_policy(dup),
+                prog.cell_finish(dup, cells[dup].label(), cells[dup].policy_name,
                                  cached=True,
                                  instructions=results[dup].instructions)
 
     if workers <= 1:
         for i in pending:
             if prog is not None:
-                prog.cell_start(i, cells[i].workload, _cell_policy(i))
-            finish(i, execute_cell(cells[i], obs=obs))
+                prog.cell_start(i, cells[i].label(), cells[i].policy_name)
+            finish(i, cells[i].execute(obs=obs))
             _record_copies(len(duplicates.get(i, ())))
     else:
         # split each workload's run into chunks small enough to load-
         # balance, but never split a chunk across workloads
         chunk_size = max(1, -(-len(pending) // (workers * 2)))
+        singles = [i for i in pending if isinstance(cells[i], Cell)]
         chunks: list[_Chunk] = []
-        for indices, workload, warmup, sim in _affine_groups(cells, pending):
+        for indices, workload, warmup, sim in _affine_groups(cells, singles):
             for at in range(0, len(indices), chunk_size):
                 piece = indices[at:at + chunk_size]
-                chunks.append((execute_cell, [(i, cells[i]) for i in piece],
+                chunks.append(([(i, cells[i]) for i in piece],
                                ((workload, warmup, sim),),
                                chunk_cost(cells, piece, 1)))
-        _dispatch_chunks(workers, shm, obs, prog, finish, chunks,
-                         lambda i: f"#{i} {cells[i].workload}/{_cell_policy(i)}",
+        # a mix is always its own chunk, so a batch's mixes spread over the
+        # pool even when they replay identical packs (one mix, many policies)
+        chunks.extend(([(i, cells[i])], cells[i].packs(), chunk_cost(cells, [i], 1))
+                      for i in pending if not isinstance(cells[i], Cell))
+        _dispatch_chunks(workers, obs, prog, finish, chunks,
+                         lambda i: f"#{i} {cells[i].label()}/{cells[i].policy_name}",
                          duplicates)
 
     missing = [i for i, r in enumerate(results) if r is None]
@@ -865,142 +956,4 @@ def run_cells(
         raise RuntimeError(f"cells {missing} produced no result")
     if prog is not None:
         prog.end()
-    return results  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# multi-core mixes: one mix = one affine chunk
-
-@dataclass(frozen=True)
-class MixCell:
-    """One picklable multi-core grid cell: a workload mix + spec + policy.
-
-    ``workloads`` are registry names (mixes come from
-    :func:`~repro.workloads.make_mixes`, which draws from the registry), so
-    a mix cell crosses process boundaries by name alone.  ``policy``
-    overrides only the policy *factory*, exactly like :class:`Cell`.
-    """
-
-    workloads: tuple[str, ...]
-    spec: RunSpec
-    policy: Optional[str] = None
-    mix_id: Optional[int] = None
-
-    def resolve_workloads(self) -> list[Any]:
-        """The workload objects this mix runs, in core order."""
-        return [by_name(name) for name in self.workloads]
-
-    def label(self) -> str:
-        """Display label for progress lines (``mix-<id>``)."""
-        return f"mix-{self.mix_id}" if self.mix_id is not None else "mix"
-
-
-def mix_cell_for(mix: Sequence[Any], spec: RunSpec, **overrides: Any) -> MixCell:
-    """Build a MixCell from workload objects (carried by registry name)."""
-    return MixCell(
-        workloads=tuple(getattr(w, "name", str(w)) for w in mix),
-        spec=spec,
-        **overrides,
-    )
-
-
-def build_mix_config(cell: MixCell) -> SimConfig:
-    """Materialise the mix's shared SimConfig (nominal windows; per-core
-    QMM halving is ``simulate_mix``'s job)."""
-    config = cell.spec.base_config()
-    if cell.policy is not None:
-        config.policy_factory = policy_factory(cell.policy, cell.spec.prefetcher)
-    return config
-
-
-def execute_mix_cell(cell: MixCell, *, obs: Optional["Observability"] = None) -> "MixResult":
-    """Simulate one mix cell in the current process."""
-    from repro.cpu.multicore import simulate_mix
-
-    workloads = cell.resolve_workloads()
-    config = build_mix_config(cell)
-    policy = cell.policy or cell.spec.policy
-    start = perf_counter()
-    with trace_span("mix-cell", category="grid",
-                    mix=cell.mix_id, policy=policy, cores=len(workloads)):
-        if obs is not None:
-            with obs.scoped(spec=asdict(cell.spec)):
-                result = simulate_mix(workloads, config, obs=obs,
-                                      mix_id=cell.mix_id)
-        else:
-            result = simulate_mix(workloads, config, mix_id=cell.mix_id)
-    _record_cell(perf_counter() - start, sum(r.instructions for r in result.results))
-    return result
-
-
-#: callback fired as each mix's result lands: (cell index, result, cached?)
-MixResultHook = Callable[[int, "MixResult", bool], None]
-
-
-def run_mix_cells(
-    cells: Sequence[MixCell],
-    *,
-    jobs: Optional[int] = None,
-    obs: Optional["Observability"] = None,
-    on_result: Optional[MixResultHook] = None,
-    shm: Optional[bool] = None,
-    progress: Optional[ProgressSink] = None,
-) -> list["MixResult"]:
-    """Execute a batch of mix cells; results come back in input order.
-
-    Scheduling is mix-affine: **one mix = one chunk**, so a worker steps all
-    eight cores of a mix against their shared LLC+DRAM without interleaving
-    other work.  ``jobs`` resolves as in :func:`run_cells`.  A workload
-    window (QMM-halved where applicable) that two or more mixes of the
-    batch replay is packed once by the parent and published through the
-    session's shared store — mixes overlap heavily in workloads, so later
-    mixes attach the columns the first one paid for; a window only one mix
-    replays is packed by that mix's worker.  There is no result cache at
-    the mix level — the cacheable unit is the *isolation* run, which is an
-    ordinary :class:`Cell`.
-    """
-    cells = list(cells)
-    workers, serial_reason = resolve_workers(jobs, len(cells), obs)
-    results: list[Optional["MixResult"]] = [None] * len(cells)
-    prog = GridProgress(progress) if progress is not None else None
-    _record_batch(workers, serial_reason, prog, len(cells), 0)
-
-    def _policy(i: int) -> str:
-        return cells[i].policy or cells[i].spec.policy
-
-    def finish(i: int, result: "MixResult") -> None:
-        results[i] = result
-        if on_result is not None:
-            on_result(i, result, False)
-        if prog is not None:
-            prog.cell_finish(
-                i, cells[i].label(), _policy(i), cached=False,
-                instructions=sum(r.instructions for r in result.results))
-
-    if workers <= 1:
-        for i in range(len(cells)):
-            if prog is not None:
-                prog.cell_start(i, cells[i].label(), _policy(i))
-            finish(i, execute_mix_cell(cells[i], obs=obs))
-    else:
-        chunks: list[_Chunk] = []
-        for i, cell in enumerate(cells):
-            config = build_mix_config(cell)
-            packs = []
-            for workload in cell.resolve_workloads():
-                warmup, sim = config.warmup_instructions, config.sim_instructions
-                if workload.suite.startswith("QMM"):
-                    warmup, sim = warmup // 2, sim // 2
-                packs.append((workload, warmup, sim))
-            # a mix's wall-clock tracks its total per-core record mass
-            chunks.append((execute_mix_cell, [(i, cell)], tuple(packs),
-                           policy_cost_weight(_policy(i))))
-        _dispatch_chunks(workers, shm, obs, prog, finish, chunks,
-                         lambda i: f"#{i} {cells[i].label()}/{_policy(i)}")
-
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:  # pragma: no cover - defensive; every path above fills results
-        raise RuntimeError(f"mix cells {missing} produced no result")
-    if prog is not None:
-        prog.end()
-    return results  # type: ignore[return-value]
+    return results

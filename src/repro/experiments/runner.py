@@ -14,6 +14,7 @@ from repro.core.dripper import make_dripper, make_dripper_sf
 from repro.core.policies import DiscardPgc, DiscardPtw, PageCrossPolicy, PermitPgc
 from repro.core.ppf import make_ppf, make_ppf_dthr
 from repro.cpu.simulator import SimConfig, SimResult, simulate
+from repro.workloads.suites import run_window
 from repro.workloads.synthetic import SyntheticWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,9 +74,10 @@ class RunSpec:
         """Materialise the workload-independent SimConfig for this spec.
 
         Carries the spec's *nominal* trace windows; per-workload adjustments
-        (the QMM half-length windows) are :meth:`config_for`'s job.  Mix
-        runs hand this straight to :func:`repro.cpu.multicore.simulate_mix`,
-        which applies the QMM halving per core itself.
+        (:func:`~repro.workloads.suites.run_window`) are :meth:`config_for`'s
+        job.  Mix runs hand this straight to
+        :func:`repro.cpu.multicore.simulate_mix`, which sizes each core's
+        window by the same rule.
         """
         factory = policy_factory(self.policy, self.prefetcher)
         if self.filter_at_native_boundary:
@@ -101,9 +103,8 @@ class RunSpec:
     def config_for(self, workload: SyntheticWorkload) -> SimConfig:
         """Materialise a SimConfig (QMM workloads run half-length traces)."""
         config = self.base_config()
-        if workload.suite.startswith("QMM"):
-            config.warmup_instructions //= 2
-            config.sim_instructions //= 2
+        config.warmup_instructions, config.sim_instructions = run_window(
+            workload, config.warmup_instructions, config.sim_instructions)
         return config
 
 
@@ -131,7 +132,6 @@ def run_many(
     obs: Optional["Observability"] = None,
     jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
 ) -> list[SimResult]:
     """Run a spec across workloads (optionally reporting per-run progress).
 
@@ -142,11 +142,9 @@ def run_many(
     disk, and a cell already simulated in this process is served from the
     in-process result memo.  Results always come back in workload order,
     identical to a serial run.  With parallel execution, ``progress`` fires
-    in completion order rather than input order.  ``shm`` picks pack
-    placement (``None``: by the batch plan; ``True``/``False``: always/never
-    through the zero-copy store).
+    in completion order rather than input order.
     """
-    from repro.experiments.parallel import cell_for, grid_session, run_cells
+    from repro.experiments.parallel import cell_for, run_cells
 
     cells = [cell_for(workload, spec) for workload in workloads]
     on_result = None
@@ -156,9 +154,7 @@ def run_many(
         def on_result(index: int, result: SimResult, cached: bool) -> None:
             progress(names[index], result)
 
-    with grid_session(jobs, shm):
-        return run_cells(cells, jobs=jobs, cache=cache, obs=obs,
-                         on_result=on_result, shm=shm)
+    return run_cells(cells, jobs=jobs, cache=cache, obs=obs, on_result=on_result)
 
 
 def run_policies(
@@ -170,7 +166,6 @@ def run_policies(
     obs: Optional["Observability"] = None,
     jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
 ) -> dict[str, list[SimResult]]:
     """Run several policies over the same workloads; returns policy -> results.
@@ -189,16 +184,14 @@ def run_policies(
         spec = replace(spec, prefetcher=prefetcher)
     policy_specs = {policy: replace(spec, policy=policy) for policy in policies}
 
-    from repro.experiments.parallel import cell_for, grid_session, run_cells
+    from repro.experiments.parallel import cell_for, run_cells
 
     cells = [
         cell_for(workload, policy_spec)
         for policy_spec in policy_specs.values()
         for workload in workloads
     ]
-    with grid_session(jobs, shm):
-        flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, shm=shm,
-                         progress=progress)
+    flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)
     n = len(workloads)
     return {
         policy: flat[i * n:(i + 1) * n]

@@ -9,9 +9,10 @@ field by field:
   are all seeded);
 * **parallel-vs-serial** — a randomized batch of grid cells executed with
   ``jobs=N`` equals the same batch executed serially (``jobs=1``);
-* **shm-grid-vs-serial** — the same grid run through the zero-copy
-  shared-memory pack store (workers attach the parent's published packs)
-  equals serial execution, and no ``/dev/shm`` segment survives the run;
+* **shm-grid-vs-serial** — a grid whose plan publishes every workload's
+  pack through the zero-copy shared-memory store (workers attach the
+  parent's published packs) equals serial execution, really publishes, and
+  leaves no ``/dev/shm`` segment behind;
 * **discard-source equivalence** — running ``DiscardPgc`` equals running a
   prefetcher wrapper that suppresses page-cross candidates at the source
   (the policy layer must be side-effect-free when it discards); only the
@@ -407,27 +408,38 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
 def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
                                   policies: Sequence[str], prefetcher: str,
                                   warmup: int, sim: int, jobs: int) -> CheckOutcome:
-    """The shared-memory grid path equals serial execution, and cleans up.
+    """The shared-memory grid path runs, equals serial execution, and cleans up.
 
-    Runs the (workload × policy) grid once serially and once on a worker
-    pool with the zero-copy pack store (``shm=True``): workers attach the
-    parent's published segments instead of re-packing, and must produce
-    field-identical results.  Afterwards no ``repro-pack-*`` segment may
-    remain in ``/dev/shm`` — a leak means a store outlived its session.
+    Each workload's cells — every policy on the single-core system and on
+    the Fig. 19 mix-scaled one — run once serially and once as their own
+    batch on a pool of at least two workers, inside one grid session.  A
+    batch of one workload's two or more cells cuts two or more chunks of
+    it, so the plan publishes the workload's pack: workers attach the
+    parent's segment instead of re-packing, and must produce field-identical
+    results.  The check fails when a workload's pack was not published (the
+    shared path did not run) or when a ``repro-pack-*`` segment remains in
+    ``/dev/shm`` afterwards — a leak means a store outlived its session.
     """
     from repro.experiments.parallel import grid_session
+    from repro.obs.metrics import get_metrics
     from repro.workloads.shm import live_segments
 
-    cells = [
-        cell_for(by_name(name), _spec(prefetcher, policy, warmup, sim))
-        for name in workload_names
-        for policy in policies
+    batches = [
+        [cell_for(by_name(name), _spec(prefetcher, policy, warmup, sim), params=params)
+         for policy in policies
+         for params in (None, DEFAULT_PARAMS.scaled_llc(8))]
+        for name in dict.fromkeys(workload_names)
     ]
+    cells = [cell for batch in batches for cell in batch]
     clear_result_memo()
     serial = run_cells(cells, jobs=1)
     clear_result_memo()
-    with grid_session(max(2, jobs), True):
-        shared = run_cells(cells, jobs=max(2, jobs), shm=True)
+    published = get_metrics().counter("shm.published")
+    before = published.total()
+    with grid_session(max(2, jobs)):
+        shared = [result for batch in batches
+                  for result in run_cells(batch, jobs=max(2, jobs))]
+    n_published = int(published.total() - before)
     name = f"shm-grid-vs-serial[{len(cells)} cells]"
     for i, (a, b) in enumerate(zip(serial, shared)):
         diffs = result_diff(a, b)
@@ -437,10 +449,16 @@ def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
                 name, False,
                 f"cell {i} ({cell.workload}/{cell.spec.policy}): " + _summarise(diffs),
             )
+    if n_published < len(batches):
+        return CheckOutcome(
+            name, False,
+            f"{n_published} pack(s) published for {len(batches)} workload(s): "
+            "the shared-memory path did not run")
     leaked = live_segments()
     if leaked:
         return CheckOutcome(name, False, f"leaked shm segments: {', '.join(leaked)}")
-    return CheckOutcome(name, True, f"{len(cells)} cells identical, no segments leaked")
+    return CheckOutcome(name, True, f"{len(cells)} cells identical, "
+                                    f"{n_published} pack(s) published, no segments leaked")
 
 
 def check_invariants_clean(workload_names: Sequence[str], *, policies: Sequence[str],

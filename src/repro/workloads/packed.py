@@ -28,7 +28,6 @@ entirely.
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from collections import OrderedDict
@@ -46,29 +45,11 @@ from repro.workloads.trace import (
 )
 
 
-def _capacity_from_env() -> int:
-    """Pack-cache capacity, overridable via ``REPRO_PACK_CACHE_CAPACITY``."""
-    raw = os.environ.get("REPRO_PACK_CACHE_CAPACITY")
-    if raw is None:
-        return 32
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PACK_CACHE_CAPACITY must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_PACK_CACHE_CAPACITY must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 #: process-wide pack cache capacity (packs are ~22 bytes/record; the default
 #: 80k-instruction window is ~0.5 MB, so 32 entries stay well under 32 MB);
-#: a grid over more workloads than this silently thrashes, so it is
-#: configurable via the env var or :func:`set_pack_cache_capacity`
-_CACHE_CAPACITY = _capacity_from_env()
+#: a grid over more workloads than this shows a steady eviction stream (see
+#: :func:`_evict_oldest`); :func:`set_pack_cache_capacity` resizes it
+_CACHE_CAPACITY = 32
 
 
 class PackIndex:
@@ -418,19 +399,16 @@ def _make_anon_reaper(key: tuple) -> Callable[[object], None]:
     return _reap
 
 
-def get_packed(workload: Workload, warmup: int, sim: int, *,
-               capacity: Optional[int] = None) -> PackedTrace:
+def get_packed(workload: Workload, warmup: int, sim: int) -> PackedTrace:
     """Return a (cached) :class:`PackedTrace` covering the given window.
 
-    The cache is process-wide and LRU-bounded (``capacity`` overrides the
-    bound for this call and onwards).  In shm-backed grid workers a shared
+    The cache is process-wide and LRU-bounded (see
+    :func:`set_pack_cache_capacity`).  In shm-backed grid workers a shared
     provider serves zero-copy attachments first — those never enter the
     local cache.  Without one, each worker process builds its own packs
     (the arrays are picklable, but shipping them per cell would cost more
     than re-packing once per worker).
     """
-    if capacity is not None:
-        set_pack_cache_capacity(capacity)
     metrics = _pack_metrics()
     key = _pack_key(workload, warmup, sim)
     if _SHARED_PROVIDER is not None:

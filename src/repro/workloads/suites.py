@@ -323,6 +323,19 @@ def gkb5(index: int, seed: int = 0) -> SyntheticWorkload:
 # ---------------------------------------------------------------------------
 # Qualcomm CVP-1 style (QMM_INT / QMM_FP): short industrial traces
 
+def run_window(workload, warmup: int, sim: int) -> tuple[int, int]:
+    """The ``(warmup, sim)`` instructions ``workload`` runs for a nominal window.
+
+    QMM workloads run half-length windows, mirroring the paper's shorter
+    warm-up/simulation for the Qualcomm traces (Section IV-A1); every other
+    suite runs the nominal window.  Single-core configs, mix cores,
+    isolation runs and the grid's pack plan all take their window from here.
+    """
+    if workload.suite.startswith("QMM"):
+        return warmup // 2, sim // 2
+    return warmup, sim
+
+
 def qmm(kind: str, index: int) -> SyntheticWorkload:
     """A Qualcomm-like short trace; `kind` is 'int' or 'fp'."""
     if kind not in ("int", "fp"):

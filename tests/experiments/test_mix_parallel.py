@@ -1,17 +1,17 @@
-"""Mix-affine scheduling: serial equivalence, pack sharing, fig19 at scale."""
+"""Mixes as grid cells: serial equivalence, pack sharing, fig19 at scale."""
 
 import pytest
 
 from repro.experiments.parallel import (
-    build_mix_config,
+    cell_for,
     clear_result_memo,
     grid_session,
     mix_cell_for,
-    run_mix_cells,
+    run_cells,
 )
 from repro.experiments.runner import RunSpec
 from repro.obs import Observability, RunJournal, read_journal
-from repro.workloads import by_name, make_mixes
+from repro.workloads import by_name, make_mixes, run_window, seen_workloads
 
 FAST = RunSpec(warmup_instructions=1_000, sim_instructions=3_000)
 
@@ -33,16 +33,52 @@ class TestMixCellBasics:
         cell = mix_cell_for(_mix(), FAST, policy="dripper", mix_id=0)
         assert pickle.loads(pickle.dumps(cell)) == cell
 
-    def test_build_mix_config_applies_policy_override(self):
-        plain = build_mix_config(mix_cell_for(_mix(), FAST))
-        overridden = build_mix_config(mix_cell_for(_mix(), FAST, policy="permit"))
+    def test_mix_config_applies_policy_override(self):
+        plain = mix_cell_for(_mix(), FAST).config()
+        overridden = mix_cell_for(_mix(), FAST, policy="permit").config()
         assert plain.policy_factory is not overridden.policy_factory
         # nominal windows: per-core QMM halving is simulate_mix's job
         assert overridden.warmup_instructions == FAST.warmup_instructions
 
-    def test_run_mix_cells_rejects_bad_jobs(self):
+    def test_run_cells_rejects_bad_jobs_for_mixes(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_mix_cells([mix_cell_for(_mix(), FAST)], jobs=0)
+            run_cells([mix_cell_for(_mix(), FAST)], jobs=0)
+
+    def test_mix_cells_are_never_cached_or_memoised(self):
+        cell = mix_cell_for(_mix(), FAST)
+        assert not cell.cacheable and not cell.memoisable
+        assert cell.policy_name == FAST.policy
+
+
+class TestRunWindow:
+    def test_qmm_window_matches_mix_budgets_and_published_pack(self):
+        from repro.cpu.multicore import build_mix
+        from repro.experiments.parallel import _GridSession
+
+        qmm = next(w for w in seen_workloads() if w.suite.startswith("QMM"))
+        mix = [qmm, by_name("astar")]
+        window = run_window(qmm, FAST.warmup_instructions, FAST.sim_instructions)
+        assert window == (FAST.warmup_instructions // 2, FAST.sim_instructions // 2)
+        assert run_window(by_name("astar"), 10, 20) == (10, 20)
+        cell = mix_cell_for(mix, FAST, mix_id=0)
+        _engines, budgets, core_configs = build_mix(mix, cell.config())
+        assert budgets[0] == window
+        assert (core_configs[0].warmup_instructions,
+                core_configs[0].sim_instructions) == window
+        # an isolation cell and the mix share the QMM pack, so the plan of
+        # one batch holding both publishes it at exactly this window
+        iso = cell_for(qmm, FAST)
+        assert iso.packs() == ((qmm, *window),)
+        assert cell.packs()[0] == (qmm, *window)
+        session = _GridSession()
+        try:
+            session.place([([(0, iso)], iso.packs(), 1.0),
+                           ([(1, cell)], cell.packs(), 1.0)])
+            handles = session.store.handles()
+            assert [(h.name, h.warmup, h.sim) for h in handles] == [
+                (qmm.name, *window)]
+        finally:
+            session.close()
 
 
 class TestMixSerialParallelEquivalence:
@@ -55,24 +91,61 @@ class TestMixSerialParallelEquivalence:
             for i, mix in enumerate(mixes)
             for policy in ("discard", "dripper")
         ]
-        serial = run_mix_cells(cells, jobs=1)
-        with grid_session(2, True):
-            parallel = run_mix_cells(cells, jobs=2)
+        serial = run_cells(cells, jobs=1)
+        with grid_session(2):
+            parallel = run_cells(cells, jobs=2)
         for a, b in zip(serial, parallel):
             assert a.results == b.results
+
+    def test_mixed_batch_identical_under_jobs2(self):
+        # single-core cells and mixes share one batch (and its pack plan);
+        # every element must equal the in-process run, in input order
+        from repro.cpu.multicore import MixResult
+
+        cells = [cell_for(w, FAST, policy=p) for w in _mix()[:2]
+                 for p in ("discard", "dripper")]
+        cells += [mix_cell_for(_mix(), FAST, policy=p, mix_id=0)
+                  for p in ("discard", "dripper")]
+        cells.insert(2, mix_cell_for(_mix()[:2], FAST, mix_id=1))
+        serial = run_cells(cells, jobs=1)
+        clear_result_memo()
+        parallel = run_cells(cells, jobs=2)
+        assert len(parallel) == len(cells)
+        for cell, a, b in zip(cells, serial, parallel):
+            assert type(a) is type(b)
+            assert isinstance(a, MixResult) == hasattr(cell, "workloads")
+            assert a == b
+
+    def test_cache_stores_and_serves_only_single_core_cells(self, tmp_path):
+        from repro.experiments.cache import ResultCache
+
+        cells = [cell_for(w, FAST) for w in _mix()[:2]]
+        cells += [mix_cell_for(_mix()[:2], FAST, mix_id=0)]
+        cache = ResultCache(tmp_path / "cache")
+        first = run_cells(cells, jobs=1, cache=cache)
+        assert cache.stats["stores"] == 2
+        assert cache.stats["misses"] == 2
+        clear_result_memo()
+        hits = []
+        second = run_cells(cells, jobs=1, cache=cache,
+                           on_result=lambda i, r, cached: hits.append((i, cached)))
+        assert second == first
+        assert cache.stats["stores"] == 2
+        assert cache.stats["hits"] == 2
+        assert sorted(hits) == [(0, True), (1, True), (2, False)]
 
     def test_on_result_fires_in_input_positions(self):
         seen = {}
         cells = [mix_cell_for(_mix(), FAST, mix_id=i) for i in range(2)]
-        run_mix_cells(cells, jobs=1,
-                      on_result=lambda i, r, cached: seen.setdefault(i, r))
+        run_cells(cells, jobs=1,
+                  on_result=lambda i, r, cached: seen.setdefault(i, r))
         assert sorted(seen) == [0, 1]
 
     def test_jobs2_journal_tags_every_core(self, tmp_path):
         journal = tmp_path / "mixes.jsonl"
         obs = Observability(journal=RunJournal(journal))
         cells = [mix_cell_for(_mix(), FAST, mix_id=i) for i in range(2)]
-        run_mix_cells(cells, jobs=2, obs=obs)
+        run_cells(cells, jobs=2, obs=obs)
         obs.close()
         records = read_journal(journal)
         assert len(records) == 2 * 4
@@ -112,6 +185,19 @@ class TestFig19:
         # the second invocation re-simulates no isolation cell
         assert cache.stats["stores"] == stored
         assert cache.stats["hits"] >= stored
+
+    def test_fig19_is_one_batch(self):
+        from repro.experiments.figures import fig19_multicore
+
+        events = []
+        fig19_multicore(n_mixes=2, cores=2, warmup_instructions=1_000,
+                        sim_instructions=3_000, seed=3, jobs=1,
+                        progress=events.append)
+        starts = [e for e in events if e["event"] == "grid-start"]
+        assert len(starts) == 1
+        # 3 policies x (isolation runs of every distinct workload + 2 mixes)
+        unique = {w.name for mix in make_mixes(2, 2, 3) for w in mix}
+        assert starts[0]["cells"] == 3 * (len(unique) + 2)
 
     def test_fig19_rejects_degenerate_policy_list(self):
         from repro.experiments.figures import fig19_multicore

@@ -264,10 +264,18 @@ class TestCostAwareScheduling:
         assert [r.__dict__ for r in parallel] == [r.__dict__ for r in serial]
 
 
+def _published() -> float:
+    from repro.obs.metrics import get_metrics
+
+    return get_metrics().counter("shm.published").total()
+
+
 class TestSharedMemoryGrid:
     def test_shm_grid_matches_serial_without_leaks(self):
         from repro.workloads.shm import live_segments
 
+        # 4 cells at jobs=2 cut one-cell chunks, so each workload is
+        # replayed by two chunks and the plan publishes both packs
         cells = [
             cell_for(by_name(w), FAST, policy=p)
             for w in ("astar", "hmmer")
@@ -275,7 +283,9 @@ class TestSharedMemoryGrid:
         ]
         serial = run_cells(cells, jobs=1)
         clear_result_memo()
-        shared = run_cells(cells, jobs=2, shm=True)
+        before = _published()
+        shared = run_cells(cells, jobs=2)
+        assert _published() - before == 2
         assert shared == serial
         assert live_segments() == []
 
@@ -285,7 +295,7 @@ class TestSharedMemoryGrid:
         cells = [cell_for(by_name("astar"), FAST, policy=p)
                  for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
-        with grid_session(2, True) as session:
+        with grid_session(2) as session:
             # both batches must reach the workers, not the result memo
             clear_result_memo()
             first = run_cells(cells, jobs=2)
@@ -296,8 +306,12 @@ class TestSharedMemoryGrid:
         assert live_segments() == []
 
     def test_no_shm_still_matches_serial(self):
+        # one cell per workload: every workload is one chunk, so nothing is
+        # published and each worker packs its own trace
         cells = [cell_for(by_name(w), FAST) for w in ("astar", "hmmer")]
-        parallel = run_cells(cells, jobs=2, shm=False)
+        before = _published()
+        parallel = run_cells(cells, jobs=2)
+        assert _published() == before
         clear_result_memo()
         assert parallel == run_cells(cells, jobs=1)
 
@@ -305,8 +319,10 @@ class TestSharedMemoryGrid:
         workloads = _workloads(("astar", "hmmer"))
         serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST, jobs=1)
         clear_result_memo()
+        before = _published()
         shared = run_policies(workloads, ["discard", "permit"], base_spec=FAST,
-                              jobs=2, shm=True)
+                              jobs=2)
+        assert _published() - before == 2  # two chunks per workload
         assert shared == serial
 
     def test_persistent_session_journal_not_double_counted(self, tmp_path):
@@ -314,7 +330,7 @@ class TestSharedMemoryGrid:
         obs = Observability(journal=RunJournal(journal))
         cells = [cell_for(by_name("astar"), FAST, policy=p)
                  for p in ("discard", "permit")]
-        with grid_session(2, True):
+        with grid_session(2):
             run_cells(cells, jobs=2, obs=obs)
             run_cells(cells, jobs=2, obs=obs)
         obs.close()
@@ -582,20 +598,15 @@ class TestWorkerResolution:
 
 
 class TestPackPlacement:
-    def _published(self):
-        from repro.obs.metrics import get_metrics
-
-        return get_metrics().counter("shm.published").total()
-
     def test_single_chunk_workload_is_packed_by_its_worker(self):
         from repro.workloads.shm import live_segments
 
         cells = [cell_for(w, FAST) for w in _workloads(("astar", "hmmer"))]
         serial = run_cells(cells, jobs=1)
         clear_result_memo()
-        before = self._published()
+        before = _published()
         assert run_cells(cells, jobs=2) == serial
-        assert self._published() == before  # each workload is one chunk
+        assert _published() == before  # each workload is one chunk
         assert live_segments() == []
 
     def test_workload_shared_by_chunks_is_published_once(self):
@@ -605,9 +616,9 @@ class TestPackPlacement:
                  for p in ("discard", "permit", "dripper", "iso")]
         serial = run_cells(cells, jobs=1)
         clear_result_memo()
-        before = self._published()
+        before = _published()
         assert run_cells(cells, jobs=2) == serial  # four one-cell chunks
-        assert self._published() == before + 1
+        assert _published() == before + 1
         assert live_segments() == []
 
     def test_fig19_policy_mixes_publish_each_workload_once(self):
@@ -619,10 +630,10 @@ class TestPackPlacement:
                       sim_instructions=3_000, seed=3)
         serial = fig19_multicore(**kwargs, jobs=1)
         clear_result_memo()
-        before = self._published()
+        before = _published()
         assert fig19_multicore(**kwargs, jobs=2) == serial
         (mix,) = make_mixes(1, 2, 3)
-        assert self._published() == before + len({w.name for w in mix})
+        assert _published() == before + len({w.name for w in mix})
         assert live_segments() == []
 
 

@@ -31,6 +31,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, "--kernel", "fused"])
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--workload", "astar"],
+        ["sweep", "--param", "stlb", "--values", "768", "--workloads", "astar"], ["mix"],
+    ])
+    @pytest.mark.parametrize("flag", ["--shm", "--no-shm"])
+    def test_no_shm_option(self, command, flag):
+        # pack placement follows the batch plan; there is no transport to pick
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, flag])
+
 
 class TestCommands:
     def test_storage(self, capsys):

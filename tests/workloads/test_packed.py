@@ -11,7 +11,6 @@ from repro.workloads import by_name
 from repro.workloads.packed import (
     PackedTrace,
     PackedWorkload,
-    _capacity_from_env,
     clear_pack_cache,
     get_packed,
     pack_cache_stats,
@@ -252,14 +251,6 @@ class TestPackCacheCapacity:
         get_packed(w, 1_000, 4_000)  # evicts the 3_000 window instead
         assert get_packed(w, 1_000, 2_000) is first
 
-    def test_capacity_keyword_resizes(self, bounded_cache):
-        w = by_name("astar")
-        get_packed(w, 1_000, 2_000)
-        get_packed(w, 1_000, 3_000)
-        get_packed(w, 1_000, 4_000, capacity=1)
-        assert pack_cache_stats()["size"] == 1
-        assert pack_cache_stats()["capacity"] == 1
-
     def test_shrinking_evicts_immediately(self, bounded_cache):
         w = by_name("astar")
         get_packed(w, 1_000, 2_000)
@@ -273,16 +264,6 @@ class TestPackCacheCapacity:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             set_pack_cache_capacity(0)
-
-    def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACK_CACHE_CAPACITY", raising=False)
-        assert _capacity_from_env() == 32
-        monkeypatch.setenv("REPRO_PACK_CACHE_CAPACITY", "5")
-        assert _capacity_from_env() == 5
-        for bad in ("zero", "0", "-3"):
-            monkeypatch.setenv("REPRO_PACK_CACHE_CAPACITY", bad)
-            with pytest.raises(ValueError, match="REPRO_PACK_CACHE_CAPACITY"):
-                _capacity_from_env()
 
     def test_eviction_emits_obs_event(self, bounded_cache, caplog):
         import logging
