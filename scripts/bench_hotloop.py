@@ -10,13 +10,6 @@ two paths' :class:`SimResult`\\ s are diffed field by field with the
 differential-validation machinery and the script aborts on any mismatch —
 the speedup is only meaningful if the answers are bit-identical.
 
-``--grid`` additionally benchmarks whole-grid execution: the same
-(workload × policy) cell batch dispatched per-cell to a worker pool with
-per-worker packing (the historical parallel grid) versus ``run_cells``,
-whose workload-affine plan publishes every pack two or more chunks replay
-as zero-copy shared memory.  Both legs' results are diffed against a
-serial reference run before any timing is reported.
-
 ``--sampled`` benchmarks phase-sampled simulation
 (:mod:`repro.experiments.sampling`) instead: one full packed run against
 the stitched representative reconstruction at paper-like scale (default
@@ -28,10 +21,11 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_hotloop.py \
         --workload astar --prefetchers berti ipcp bop \
-        --policies discard dripper --repeats 3 --grid
+        --policies discard dripper --repeats 3 --out /tmp/bench.json
 
-Writes a machine-readable summary (default ``BENCH_0006.json`` at the repo
-root) so perf regressions are diffable across commits.
+``--out PATH`` writes a machine-readable summary of the per-cell mode (by
+default nothing is written); ``--mix`` and ``--sampled`` write their own
+records, see their ``--*-out`` options.
 """
 
 from __future__ import annotations
@@ -41,20 +35,11 @@ import gc
 import json
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from time import perf_counter
 
 from repro.experiments import RunSpec, format_table
-from repro.experiments.parallel import (
-    _init_worker,
-    _run_chunk_worker,
-    cell_for,
-    clear_result_memo,
-    grid_session,
-    mix_cell_for,
-    run_cells,
-)
+from repro.experiments.parallel import grid_session, mix_cell_for, run_cells
 from repro.validate import result_diff, simulate_generator, simulate_mix_generator
 from repro.workloads import by_name, clear_pack_cache, get_packed, make_mixes
 from repro.cpu.simulator import simulate
@@ -151,70 +136,6 @@ def bench_cell(workload, spec: RunSpec, repeats: int) -> dict:
     }
 
 
-def _legacy_grid(cells, jobs: int):
-    """The pre-affine parallel grid: one task per cell, per-worker packing.
-
-    Reproduces the historical dispatch shape — a fresh pool, every cell its
-    own task, no shared pack store — so the grid benchmark compares the new
-    scheduler against what ``run_cells(jobs=N)`` actually did before.
-    """
-    results = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(None, ())) as pool:
-        futures = [
-            pool.submit(_run_chunk_worker, [(i, cell)], (), False)
-            for i, cell in enumerate(cells)
-        ]
-        for future in as_completed(futures):
-            landed, _delta = future.result()
-            for i, result in landed:
-                results[i] = result
-    return results
-
-
-def _shm_grid(cells, jobs: int):
-    """The shm + workload-affine grid (a fresh session per run, like a CLI call)."""
-    clear_result_memo()  # every repeat must simulate, not replay the memo
-    return run_cells(cells, jobs=jobs)
-
-
-def bench_grid(workloads, policies, prefetcher: str, warmup: int, sim: int,
-               jobs: int, repeats: int) -> dict:
-    """Time the whole grid both ways; assert both match a serial reference."""
-    spec = RunSpec(prefetcher=prefetcher, warmup_instructions=warmup,
-                   sim_instructions=sim)
-    cells = [cell_for(by_name(name), spec, policy=policy)
-             for name in workloads for policy in policies]
-    reference = run_cells(cells, jobs=1)
-
-    t_legacy, legacy_results, t_shm, shm_results, speedup = _best_of_interleaved(
-        repeats,
-        lambda: _legacy_grid(cells, jobs),
-        lambda: _shm_grid(cells, jobs),
-    )
-    for tag, results in (("legacy", legacy_results), ("shm", shm_results)):
-        for cell, got, want in zip(cells, results, reference):
-            diffs = result_diff(got, want)
-            if diffs:
-                parts = "; ".join(f"{k}: {a!r} != {b!r}" for k, (a, b) in diffs.items())
-                raise SystemExit(
-                    f"FAIL: {tag} grid diverged from serial for "
-                    f"{cell.workload}/{cell.policy}: {parts}"
-                )
-
-    return {
-        "workloads": list(workloads),
-        "policies": list(policies),
-        "prefetcher": prefetcher,
-        "cells": len(cells),
-        "jobs": jobs,
-        "legacy_seconds": t_legacy,
-        "shm_affine_seconds": t_shm,
-        #: median of per-pair wall-time ratios (see _best_of_interleaved)
-        "speedup": speedup,
-    }
-
-
 def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
               warmup: int, sim: int, jobs: int, repeats: int,
               seed: int = 42) -> dict:
@@ -222,9 +143,9 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
 
     Serial generator stepping (the ``simulate_mix_generator`` oracle, the
     historical ``simulate_mix`` path) races the mix-affine scheduler
-    dispatching whole mixes to ``jobs`` workers on packed cores.  One shared-memory grid
+    dispatching whole mixes to ``jobs`` workers on packed cores.  One grid
     session stays open across the repeats — the steady state of a 300-mix
-    study, where the worker pool and the published packs are paid once and
+    study, where the worker pool and each worker's packs are paid once and
     amortised over hundreds of mixes — and the untimed warm-up pair inside
     :func:`_best_of_interleaved` is what pays them, so neither leg times
     session setup.  Every core of every mix is diffed between the legs
@@ -346,16 +267,8 @@ def main() -> int:
     parser.add_argument("--sim", type=int, default=60_000)
     parser.add_argument("--repeats", type=int, default=5,
                         help="take the best of N runs per path (default: 5)")
-    parser.add_argument("--grid", action="store_true",
-                        help="also benchmark whole-grid execution: per-cell "
-                             "dispatch vs the shm + workload-affine scheduler")
-    parser.add_argument("--grid-workloads", nargs="+",
-                        default=["astar", "hmmer", "mcf", "lbm"])
-    parser.add_argument("--grid-jobs", type=int, default=2)
-    parser.add_argument("--grid-repeats", type=int, default=3,
-                        help="interleaved grid repeats (default: 3)")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_0006.json"),
-                        help="JSON summary path ('' to skip writing)")
+    parser.add_argument("--out", default="",
+                        help="JSON summary path (default: write nothing)")
     parser.add_argument("--mix", action="store_true",
                         help="benchmark the multi-core mix grid instead: "
                              "serial generator stepping vs whole mixes "
@@ -488,21 +401,6 @@ def main() -> int:
         "python": platform.python_version(),
         "cells": cells,
     }
-
-    if args.grid:
-        grid = bench_grid(args.grid_workloads, args.policies,
-                          args.prefetchers[0], args.warmup, args.sim,
-                          args.grid_jobs, args.grid_repeats)
-        payload["grid"] = grid
-        print(format_table(
-            ["cells", "jobs", "per-cell dispatch", "shm + affine", "speedup"],
-            [(str(grid["cells"]), str(grid["jobs"]),
-              f"{grid['legacy_seconds']:.2f}s",
-              f"{grid['shm_affine_seconds']:.2f}s",
-              f"{grid['speedup']:.2f}x")],
-            f"grid: {len(grid['workloads'])} workloads x {len(grid['policies'])} "
-            f"policies, {args.prefetchers[0]} (best of {args.grid_repeats})",
-        ))
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {args.out}")

@@ -37,8 +37,8 @@ equality, per-run invariant passes, and mutation detection.
 breakdown of the hot paths), ``--json`` (machine-readable stdout),
 ``--metrics-out`` (process-wide counter/gauge/histogram snapshot as
 Prometheus text, or JSON when the path ends in ``.json``), and
-``--trace-out`` (Chrome trace-event JSON of the run's spans — pack,
-shm-attach, drive, collect, cache-write — loadable in Perfetto or
+``--trace-out`` (Chrome trace-event JSON of the run's spans — cell,
+pack, drive, collect, cache-write — loadable in Perfetto or
 ``chrome://tracing``; grid workers' spans are merged in with their real
 pids).  ``compare``, ``sweep`` and ``mix`` run their grids on one
 worker process per usable CPU; they additionally accept ``--jobs`` (worker
@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the end-of-command metrics snapshot "
                             "(Prometheus text; JSON when PATH ends in .json)")
         g.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="record spans (pack/shm-attach/drive/collect/"
+                       help="record spans (cell/pack/drive/collect/"
                             "cache-write) and write a Chrome trace-event JSON "
                             "merging every process's spans")
 

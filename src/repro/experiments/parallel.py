@@ -41,13 +41,16 @@ still stored.  :func:`clear_result_memo` empties it.
 
 Scheduling is **workload-affine**: pending single-core cells are grouped by
 workload identity and pack window, and each worker receives whole
-per-workload chunks — so it materialises (or shm-attaches) a workload's
-pack once and replays it across all of that workload's (prefetcher ×
-policy × params) cells, instead of thrashing the pack cache by
-round-robining across workloads.  A mix is always its own chunk: a worker
-steps all of its cores against their shared LLC+DRAM without interleaving
-other work, and a mix's policies (identical pack tuples) still spread over
-the pool.
+per-workload chunks — so it materialises a workload's pack once and
+replays it across all of that workload's (prefetcher × policy × params)
+cells, instead of thrashing the pack cache by round-robining across
+workloads.  Packs never cross a process boundary: a worker packs each
+window it replays through :func:`~repro.workloads.packed.get_packed`,
+memoised per process, so a window that several chunks replay is packed at
+most once per worker, in parallel with the other workers.  A mix is always
+its own chunk: a worker steps all of its cores against their shared
+LLC+DRAM without interleaving other work, and a mix's policies (identical
+pack tuples) still spread over the pool.
 
 Chunks dispatch **costliest-first**: each chunk's wall-clock is estimated as
 pack record count × the relative drive-loop weight of its cells' page-cross
@@ -58,22 +61,9 @@ cells amid cheap discard ones — this keeps the long poles from landing
 last and serialising the batch tail; on uniform grids it degrades to the
 old largest-chunk-first order.
 
-**Pack placement** follows the batch plan.  A workload window that two or
-more chunks of the batch replay (single-core chunks and mixes alike) is
-packed once by the parent and published through a
-:class:`~repro.workloads.shm.SharedPackStore`; those chunks carry its
-:class:`~repro.workloads.shm.PackHandle` and the workers replay zero-copy
-views.  A window only one chunk replays is packed by the worker that owns
-the chunk, so packing runs in parallel instead of serially in the parent
-before dispatch (a window an earlier batch of the session already
-published is handed over all the same).  Cells whose workload cannot be
-published (no cross-process identity, empty pack) simply pack in the
-worker — placement is a pure transport choice on top of the bit-identical
-packed kernel.
-
-:func:`grid_session` keeps one worker pool (and one pack store) alive across
-several ``run_cells`` batches — every multi-batch paper exhibit wraps its
-batches in it, so each forks its pool once instead of once per batch.
+:func:`grid_session` keeps one worker pool alive across several
+``run_cells`` batches — every multi-batch paper exhibit wraps its batches
+in it, so each forks its pool once instead of once per batch.
 Pools never outlive their session: a process-lifetime pool would keep
 running code forked before a later monkeypatch or cache clear.
 
@@ -106,7 +96,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -127,7 +117,6 @@ from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
 from repro.params import SystemParams
 from repro.workloads.packed import clear_pack_cache, stable_identity
 from repro.workloads.registry import by_name
-from repro.workloads.shm import PackHandle, SharedPackStore, install_attachments
 from repro.workloads.suites import run_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -510,13 +499,12 @@ _WORKER_SHARD_DIR: Optional[str] = None
 _WORKER_SEQ = 0
 
 
-def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
-                 trace: bool = False) -> None:
+def _init_worker(shard_dir: Optional[str], trace: bool = False) -> None:
     global _WORKER_SHARD_DIR, _WORKER_SEQ, _IN_WORKER, _SESSION
     _WORKER_SHARD_DIR = shard_dir
     _WORKER_SEQ = 0
     # a grid helper called from inside a cell runs in this process, never
-    # on the parent's session, whose pool and store this fork inherited
+    # on the parent's session, whose pool this fork inherited
     _IN_WORKER = True
     _SESSION = None
     # a forked worker inherits the parent's pack-cache buffers but would
@@ -532,8 +520,6 @@ def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
     # ...and the parent's tracer, whose buffered spans and pid are not this
     # process's; install a fresh worker tracer (or none) in its place
     install_tracer(Tracer(role="worker") if trace else None)
-    if handles:
-        install_attachments(handles)
 
 
 def _chunk_obs() -> Optional["Observability"]:
@@ -555,7 +541,6 @@ def _chunk_obs() -> Optional["Observability"]:
 
 def _run_chunk_worker(
     items: Sequence[tuple[int, GridCell]],
-    handles: Sequence[PackHandle],
     use_journal: bool,
     trace_dir: Optional[str] = None,
     copies: int = 0,
@@ -571,10 +556,6 @@ def _run_chunk_worker(
     ``copies`` in-batch duplicates of the chunk's cells are served from
     their results by the parent; they are accounted to this worker.
     """
-    if handles:
-        # the chunk's pack may have been published after this pool started,
-        # so handles ride with the chunk (registering twice is a no-op)
-        install_attachments(handles)
     if trace_dir is not None and current_tracer() is None:
         # tracing was enabled after this pool forked (persistent session)
         install_tracer(Tracer(role="worker"))
@@ -596,26 +577,24 @@ def _run_chunk_worker(
 
 
 # ---------------------------------------------------------------------------
-# parent side: grid sessions (persistent pool + shared pack store)
+# parent side: grid sessions (persistent pool)
 
 
 class _GridSession:
-    """One worker pool + pack store + shard dir, reusable across batches.
+    """One worker pool + shard dir, reusable across batches.
 
-    All three are made on first use, so a session whose batches all run in
-    process forks nothing and touches no shared memory.
+    Both are made on first use, so a session whose batches all run in
+    process forks nothing.
     """
 
     def __init__(self) -> None:
-        self.store: Optional[SharedPackStore] = None
         self.shard_dir: Optional[str] = None
         self.trace_dir: Optional[str] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers = 0
 
     def pool(self, workers: int) -> ProcessPoolExecutor:
-        """A worker pool of at least ``workers`` processes (forked lazily;
-        the handles published so far ride along)."""
+        """A worker pool of at least ``workers`` processes (forked lazily)."""
         if self._pool is not None and self._workers < workers:
             self.drop_pool()
         if self._pool is None:
@@ -625,11 +604,10 @@ class _GridSession:
                 # merge (non-recursive glob over shard_dir) never sees them
                 self.trace_dir = os.path.join(self.shard_dir, "trace")
                 os.makedirs(self.trace_dir, exist_ok=True)
-            handles = tuple(self.store.handles()) if self.store is not None else ()
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(self.shard_dir, handles, current_tracer() is not None),
+                initargs=(self.shard_dir, current_tracer() is not None),
             )
             self._workers = workers
         return self._pool
@@ -640,36 +618,9 @@ class _GridSession:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def place(self, chunks: Sequence["_Chunk"]) -> list["_Task"]:
-        """Attach each chunk's pack handles per the placement rule (module
-        docstring) and estimate its cost from the pack lengths."""
-        uses = Counter(key for _items, packs, _weight in chunks
-                       for key in {(id(w), warmup, sim) for w, warmup, sim in packs})
-        tasks: list[_Task] = []
-        for items, packs, weight in chunks:
-            handles: list[PackHandle] = []
-            records = 0
-            for workload, warmup, sim in packs:
-                handle = None
-                if uses[(id(workload), warmup, sim)] >= 2:
-                    if self.store is None:
-                        self.store = SharedPackStore()
-                    handle = self.store.publish(workload, warmup, sim)
-                elif self.store is not None:
-                    handle = self.store.handle_for(workload, warmup, sim)
-                if handle is not None:
-                    handles.append(handle)
-                # pack length when published; the window is the proxy
-                # otherwise (records ≈ instructions for gap-light traces)
-                records += handle.n_records if handle is not None else warmup + sim
-            tasks.append((items, tuple(handles), weight * records))
-        return tasks
-
     def close(self) -> None:
-        """Shut the pool down, unlink every shm segment, drop the shard dir."""
+        """Shut the pool down and drop the shard dir."""
         self.drop_pool()
-        if self.store is not None:
-            self.store.close()
         if self.shard_dir is not None:
             shutil.rmtree(self.shard_dir, ignore_errors=True)
 
@@ -679,12 +630,12 @@ _SESSION: Optional[_GridSession] = None
 
 @contextmanager
 def grid_session(jobs: Optional[int] = None) -> Iterator[Optional[_GridSession]]:
-    """Reuse one pool/pack store across every ``run_cells`` batch inside.
+    """Reuse one worker pool across every ``run_cells`` batch inside.
 
     The multi-batch paper exhibits wrap their batches in this, so a grid
-    spanning several batches forks its workers once and publishes each
-    shared pack once.  Nesting is a no-op (the outermost session wins), as
-    are ``jobs=1`` and running inside a grid worker.
+    spanning several batches forks its workers once.  Nesting is a no-op
+    (the outermost session wins), as are ``jobs=1`` and running inside a
+    grid worker.
     """
     global _SESSION
     if _SESSION is not None or (jobs is not None and jobs <= 1) or _IN_WORKER:
@@ -741,9 +692,9 @@ def chunk_cost(cells: Sequence[GridCell], indices: Sequence[int],
                records: int) -> float:
     """Estimated wall-clock weight of one chunk.
 
-    ``records`` is the chunk's pack length (every cell replays the whole
-    pack, so per-cell work is proportional to it; for a mix, the record
-    mass of all its cores); each cell contributes
+    ``records`` is the chunk's estimated pack length (every cell replays
+    the whole pack, so per-cell work is proportional to it; for a mix, the
+    record mass of all its cores); each cell contributes
     ``records × policy_cost_weight(policy)``.  Used to dispatch chunks
     costliest-first — see the module docstring.
     """
@@ -751,11 +702,34 @@ def chunk_cost(cells: Sequence[GridCell], indices: Sequence[int],
         policy_cost_weight(cells[i].policy_name) for i in indices)
 
 
-#: one planned chunk: ([(index, cell)], the (workload, warmup, sim) packs it
-#: replays, cost weight per pack record)
-_Chunk = tuple[list[tuple[int, GridCell]], tuple[tuple[Any, int, int], ...], float]
-#: one pool task: a chunk with its pack handles and estimated cost
-_Task = tuple[list[tuple[int, GridCell]], tuple[PackHandle, ...], float]
+#: one planned chunk: ([(index, cell)], estimated cost)
+_Chunk = tuple[list[tuple[int, GridCell]], float]
+
+
+def _plan_chunks(cells: Sequence[GridCell], pending: Sequence[int],
+                 workers: int) -> list[_Chunk]:
+    """Cut a pool batch's pending cells into chunks (see the module docstring).
+
+    Each workload's run of single-core cells is split into chunks small
+    enough to load-balance, but a chunk never spans workloads.  A mix is
+    always its own chunk, so a batch's mixes spread over the pool even when
+    they replay identical packs (one mix, many policies).  A chunk's record
+    count is estimated from its pack windows (records ≈ instructions for
+    gap-light traces).
+    """
+    chunk_size = max(1, -(-len(pending) // (workers * 2)))
+    singles = [i for i in pending if isinstance(cells[i], Cell)]
+    chunks: list[_Chunk] = []
+    for indices, _workload, warmup, sim in _affine_groups(cells, singles):
+        for at in range(0, len(indices), chunk_size):
+            piece = indices[at:at + chunk_size]
+            chunks.append(([(i, cells[i]) for i in piece],
+                           chunk_cost(cells, piece, warmup + sim)))
+    chunks.extend(([(i, cells[i])],
+                   chunk_cost(cells, [i], sum(warmup + sim
+                                              for _w, warmup, sim in cells[i].packs())))
+                  for i in pending if not isinstance(cells[i], Cell))
+    return chunks
 
 
 def _dispatch_chunks(
@@ -769,14 +743,12 @@ def _dispatch_chunks(
 ) -> None:
     """The pool half of :func:`run_cells`.
 
-    The chunks get their pack handles (see :meth:`_GridSession.place`) and
-    are submitted to the session's pool costliest-first; each landed result
-    goes through ``finish``.  ``copies`` maps a cell to its in-batch
-    duplicates, which ``finish`` serves and its worker accounts.  Worker
-    metric deltas, journal shards and trace shards are merged back into
-    this process.  A dead worker raises
-    :class:`GridWorkerLost` naming (via ``describe``) every cell that did
-    not land.
+    The chunks are submitted to the session's pool costliest-first; each
+    landed result goes through ``finish``.  ``copies`` maps a cell to its
+    in-batch duplicates, which ``finish`` serves and its worker accounts.
+    Worker metric deltas, journal shards and trace shards are merged back
+    into this process.  A dead worker raises :class:`GridWorkerLost` naming
+    (via ``describe``) every cell that did not land.
     """
     if _has_in_process_instruments(obs):
         raise ValueError(
@@ -789,16 +761,14 @@ def _dispatch_chunks(
     if ephemeral:
         session = _GridSession()
     try:
-        tasks = sorted(session.place(chunks), key=lambda t: -t[2])
         pool = session.pool(workers)
         trace_dir = session.trace_dir if current_tracer() is not None else None
         copies = copies or {}
         futures = {
-            pool.submit(_run_chunk_worker, items, handles,
-                        journal is not None, trace_dir,
+            pool.submit(_run_chunk_worker, items, journal is not None, trace_dir,
                         sum(len(copies.get(i, ())) for i, _ in items)):
                 [i for i, _ in items]
-            for items, handles, _cost in tasks
+            for items, _cost in sorted(chunks, key=lambda chunk: -chunk[1])
         }
         registry = get_metrics()
         landed_futures = set()
@@ -848,8 +818,8 @@ def run_cells(
     """Execute a batch of cells; results come back in input order.
 
     A :class:`Cell` yields a :class:`SimResult`, a :class:`MixCell` a
-    :class:`~repro.cpu.multicore.MixResult`; one batch may hold both, so
-    packs shared by single-core and mix cells are placed by one plan.
+    :class:`~repro.cpu.multicore.MixResult`; one batch may hold both, and
+    one plan cuts them into chunks for one pool.
     ``jobs=None`` runs on every usable CPU unless the batch has to run in
     process (:func:`resolve_workers`); ``on_result`` and ``progress`` then
     fire in completion order.  Cacheable cells are looked up by fingerprint
@@ -932,22 +902,7 @@ def run_cells(
             finish(i, cells[i].execute(obs=obs))
             _record_copies(len(duplicates.get(i, ())))
     else:
-        # split each workload's run into chunks small enough to load-
-        # balance, but never split a chunk across workloads
-        chunk_size = max(1, -(-len(pending) // (workers * 2)))
-        singles = [i for i in pending if isinstance(cells[i], Cell)]
-        chunks: list[_Chunk] = []
-        for indices, workload, warmup, sim in _affine_groups(cells, singles):
-            for at in range(0, len(indices), chunk_size):
-                piece = indices[at:at + chunk_size]
-                chunks.append(([(i, cells[i]) for i in piece],
-                               ((workload, warmup, sim),),
-                               chunk_cost(cells, piece, 1)))
-        # a mix is always its own chunk, so a batch's mixes spread over the
-        # pool even when they replay identical packs (one mix, many policies)
-        chunks.extend(([(i, cells[i])], cells[i].packs(), chunk_cost(cells, [i], 1))
-                      for i in pending if not isinstance(cells[i], Cell))
-        _dispatch_chunks(workers, obs, prog, finish, chunks,
+        _dispatch_chunks(workers, obs, prog, finish, _plan_chunks(cells, pending, workers),
                          lambda i: f"#{i} {cells[i].label()}/{cells[i].policy_name}",
                          duplicates)
 

@@ -8,7 +8,7 @@ Two complementary layers guard the simulator's headline counters:
   ``SimConfig(validate=True)`` or the CLI's ``--validate`` flag;
 * :func:`run_validation_suite` (:mod:`repro.validate.differential`) runs
   metamorphic checks over the production code paths — determinism,
-  parallel == serial, shm grid == serial, discard == source suppression,
+  parallel == serial, discard == source suppression,
   epoch invariance, packed kernel == generator oracle
   (:func:`simulate_generator`, :func:`simulate_mix_generator`; single-core
   and per mix core),
@@ -24,7 +24,6 @@ from repro.validate.differential import (
     check_mix_packed_matches_generator,
     check_packed_matches_generator,
     check_sampled_matches_full,
-    check_shm_grid_matches_serial,
     result_diff,
     run_validation_suite,
     simulate_generator,
@@ -38,7 +37,6 @@ __all__ = [
     "check_mix_packed_matches_generator",
     "check_packed_matches_generator",
     "check_sampled_matches_full",
-    "check_shm_grid_matches_serial",
     "InvariantChecker",
     "InvariantViolation",
     "reintroduce_stale_mshr_bug",

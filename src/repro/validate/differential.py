@@ -7,12 +7,9 @@ field by field:
 * **determinism** — the same (workload, config) simulated twice is
   bit-identical (trace generation, large-page allocation and replacement
   are all seeded);
-* **parallel-vs-serial** — a randomized batch of grid cells executed with
-  ``jobs=N`` equals the same batch executed serially (``jobs=1``);
-* **shm-grid-vs-serial** — a grid whose plan publishes every workload's
-  pack through the zero-copy shared-memory store (workers attach the
-  parent's published packs) equals serial execution, really publishes, and
-  leaves no ``/dev/shm`` segment behind;
+* **parallel-vs-serial** — a randomized batch of grid cells, on the
+  single-core and the Fig. 19 mix-scaled system, executed with ``jobs=N``
+  equals the same batch executed serially (``jobs=1``);
 * **discard-source equivalence** — running ``DiscardPgc`` equals running a
   prefetcher wrapper that suppresses page-cross candidates at the source
   (the policy layer must be side-effect-free when it discards); only the
@@ -59,6 +56,9 @@ from repro.workloads.registry import by_name
 _FUZZ_PREFETCHERS = ("berti", "ipcp", "bop")
 #: epoch lengths the fuzz and the invariance check draw from
 _FUZZ_EPOCHS = (1024, 2048, 4096)
+#: systems the parallel fuzz draws from: the default single-core one and
+#: Fig. 19's mix-scaled one (LLC scaled for 8 cores)
+_FUZZ_PARAMS = (None, DEFAULT_PARAMS.scaled_llc(8))
 
 
 @dataclass
@@ -163,10 +163,9 @@ def check_determinism(workload_name: str, *, prefetcher: str, policy: str,
     return CheckOutcome(name, True, f"{first.instructions} instructions, ipc {first.ipc:.3f}")
 
 
-def check_parallel_matches_serial(workload_names: Sequence[str], *,
-                                  policies: Sequence[str], warmup: int, sim: int,
-                                  seed: int, fuzz_cells: int, jobs: int) -> CheckOutcome:
-    """A randomized cell batch run with jobs=N equals the serial run."""
+def _fuzz_cells(workload_names: Sequence[str], *, policies: Sequence[str],
+                warmup: int, sim: int, seed: int, fuzz_cells: int) -> list:
+    """The randomized cell batch :func:`check_parallel_matches_serial` runs."""
     rng = random.Random(seed)
     cells = []
     for _ in range(fuzz_cells):
@@ -179,7 +178,22 @@ def check_parallel_matches_serial(workload_names: Sequence[str], *,
             large_page_fraction=rng.choice((0.0, 0.25)),
         )
         cells.append(cell_for(workload, spec,
-                              epoch_instructions=rng.choice(_FUZZ_EPOCHS)))
+                              epoch_instructions=rng.choice(_FUZZ_EPOCHS),
+                              params=rng.choice(_FUZZ_PARAMS)))
+    return cells
+
+
+def check_parallel_matches_serial(workload_names: Sequence[str], *,
+                                  policies: Sequence[str], warmup: int, sim: int,
+                                  seed: int, fuzz_cells: int, jobs: int) -> CheckOutcome:
+    """A randomized cell batch run with jobs=N equals the serial run.
+
+    At the suite's defaults (4 cells, 2+ workers) every chunk holds one
+    cell, so a workload drawn twice is replayed by two chunks — on two
+    workers, each packing the window itself.
+    """
+    cells = _fuzz_cells(workload_names, policies=policies, warmup=warmup, sim=sim,
+                        seed=seed, fuzz_cells=fuzz_cells)
     # both legs must simulate: drop memoised results before each
     clear_result_memo()
     serial = run_cells(cells, jobs=1)
@@ -405,62 +419,6 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
     return outcomes
 
 
-def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
-                                  policies: Sequence[str], prefetcher: str,
-                                  warmup: int, sim: int, jobs: int) -> CheckOutcome:
-    """The shared-memory grid path runs, equals serial execution, and cleans up.
-
-    Each workload's cells — every policy on the single-core system and on
-    the Fig. 19 mix-scaled one — run once serially and once as their own
-    batch on a pool of at least two workers, inside one grid session.  A
-    batch of one workload's two or more cells cuts two or more chunks of
-    it, so the plan publishes the workload's pack: workers attach the
-    parent's segment instead of re-packing, and must produce field-identical
-    results.  The check fails when a workload's pack was not published (the
-    shared path did not run) or when a ``repro-pack-*`` segment remains in
-    ``/dev/shm`` afterwards — a leak means a store outlived its session.
-    """
-    from repro.experiments.parallel import grid_session
-    from repro.obs.metrics import get_metrics
-    from repro.workloads.shm import live_segments
-
-    batches = [
-        [cell_for(by_name(name), _spec(prefetcher, policy, warmup, sim), params=params)
-         for policy in policies
-         for params in (None, DEFAULT_PARAMS.scaled_llc(8))]
-        for name in dict.fromkeys(workload_names)
-    ]
-    cells = [cell for batch in batches for cell in batch]
-    clear_result_memo()
-    serial = run_cells(cells, jobs=1)
-    clear_result_memo()
-    published = get_metrics().counter("shm.published")
-    before = published.total()
-    with grid_session(max(2, jobs)):
-        shared = [result for batch in batches
-                  for result in run_cells(batch, jobs=max(2, jobs))]
-    n_published = int(published.total() - before)
-    name = f"shm-grid-vs-serial[{len(cells)} cells]"
-    for i, (a, b) in enumerate(zip(serial, shared)):
-        diffs = result_diff(a, b)
-        if diffs:
-            cell = cells[i]
-            return CheckOutcome(
-                name, False,
-                f"cell {i} ({cell.workload}/{cell.spec.policy}): " + _summarise(diffs),
-            )
-    if n_published < len(batches):
-        return CheckOutcome(
-            name, False,
-            f"{n_published} pack(s) published for {len(batches)} workload(s): "
-            "the shared-memory path did not run")
-    leaked = live_segments()
-    if leaked:
-        return CheckOutcome(name, False, f"leaked shm segments: {', '.join(leaked)}")
-    return CheckOutcome(name, True, f"{len(cells)} cells identical, "
-                                    f"{n_published} pack(s) published, no segments leaked")
-
-
 def check_invariants_clean(workload_names: Sequence[str], *, policies: Sequence[str],
                            prefetcher: str, warmup: int, sim: int) -> list[CheckOutcome]:
     """Every (workload x policy) run passes a full invariant pass."""
@@ -555,9 +513,6 @@ def run_validation_suite(
     record(check_parallel_matches_serial(
         workload_names, policies=policies, warmup=warmup, sim=sim,
         seed=seed, fuzz_cells=fuzz_cells, jobs=jobs))
-    record(check_shm_grid_matches_serial(
-        workload_names, policies=policies, prefetcher=prefetcher,
-        warmup=warmup, sim=sim, jobs=jobs))
     record(check_discard_source_equivalence(anchor, prefetcher=prefetcher,
                                             warmup=warmup, sim=sim))
     record(check_epoch_invariance(anchor, prefetcher=prefetcher,

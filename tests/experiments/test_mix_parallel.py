@@ -51,9 +51,10 @@ class TestMixCellBasics:
 
 
 class TestRunWindow:
-    def test_qmm_window_matches_mix_budgets_and_published_pack(self):
+    def test_qmm_window_matches_mix_budgets_and_pack(self):
         from repro.cpu.multicore import build_mix
-        from repro.experiments.parallel import _GridSession
+        from repro.obs.metrics import get_metrics
+        from repro.workloads import clear_pack_cache
 
         qmm = next(w for w in seen_workloads() if w.suite.startswith("QMM"))
         mix = [qmm, by_name("astar")]
@@ -65,20 +66,17 @@ class TestRunWindow:
         assert budgets[0] == window
         assert (core_configs[0].warmup_instructions,
                 core_configs[0].sim_instructions) == window
-        # an isolation cell and the mix share the QMM pack, so the plan of
-        # one batch holding both publishes it at exactly this window
+        # an isolation cell and the mix share the QMM pack at exactly this
+        # window, so a process that runs both packs it once
         iso = cell_for(qmm, FAST)
         assert iso.packs() == ((qmm, *window),)
         assert cell.packs()[0] == (qmm, *window)
-        session = _GridSession()
-        try:
-            session.place([([(0, iso)], iso.packs(), 1.0),
-                           ([(1, cell)], cell.packs(), 1.0)])
-            handles = session.store.handles()
-            assert [(h.name, h.warmup, h.sim) for h in handles] == [
-                (qmm.name, *window)]
-        finally:
-            session.close()
+        misses = get_metrics().counter("pack_cache.misses")
+        clear_pack_cache()
+        before = misses.total()
+        iso.execute()
+        cell.execute()
+        assert misses.total() - before == 2  # the QMM window, then astar's
 
 
 class TestMixSerialParallelEquivalence:

@@ -1,10 +1,14 @@
 """Differential suite: result diffing and the metamorphic checks themselves."""
 
+from collections import Counter
 from dataclasses import replace
 
 from repro.cpu.simulator import simulate
+from repro.experiments.parallel import _plan_chunks, cell_fingerprint
+from repro.params import DEFAULT_PARAMS
 from repro.validate.differential import (
     CheckOutcome,
+    _fuzz_cells,
     check_determinism,
     check_discard_source_equivalence,
     check_epoch_invariance,
@@ -68,6 +72,24 @@ class TestMetamorphicChecks:
         assert len(outcomes) == 3
         for outcome in outcomes:
             assert outcome.passed, f"{outcome.name}: {outcome.detail}"
+
+
+class TestParallelFuzz:
+    def test_batch_replays_one_workload_from_two_chunks(self):
+        # at the suite's defaults (4 cells on 2 workers) some workload's
+        # cells land in two chunks, so two workers pack the same window
+        drawn = set()
+        for seed in range(10):
+            cells = _fuzz_cells(("astar", "hmmer", "mcf"),
+                                policies=("discard", "permit", "dripper"),
+                                warmup=WARMUP, sim=SIM, seed=seed, fuzz_cells=4)
+            # distinct cells: run_cells coalesces none, so all 4 are planned
+            assert len({cell_fingerprint(c) for c in cells}) == len(cells)
+            chunks = _plan_chunks(cells, range(len(cells)), 2)
+            per_workload = Counter(items[0][1].workload for items, _cost in chunks)
+            assert max(per_workload.values()) >= 2, seed
+            drawn.update(c.params for c in cells)
+        assert drawn == {None, DEFAULT_PARAMS.scaled_llc(8)}
 
 
 class TestSuiteDriver:

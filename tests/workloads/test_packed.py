@@ -14,7 +14,6 @@ from repro.workloads.packed import (
     clear_pack_cache,
     get_packed,
     pack_cache_stats,
-    set_pack_cache_capacity,
 )
 from repro.workloads import packed as packed_module
 from repro.workloads.trace_io import FileWorkload, snapshot_workload
@@ -192,8 +191,6 @@ class TestBytesGauge:
         assert self._gauge_value() == self._resident_bytes()
         get_packed(w, 1_000, 4_000)  # capacity 2: evicts the oldest
         assert self._gauge_value() == self._resident_bytes()
-        set_pack_cache_capacity(1)  # shrink evicts immediately
-        assert self._gauge_value() == self._resident_bytes()
         clear_pack_cache()
         assert self._gauge_value() == 0
         assert packed_module._CACHE_BYTES == 0
@@ -221,12 +218,11 @@ class TestPackCache:
 
 
 @pytest.fixture
-def bounded_cache():
-    """Shrinkable cache capacity, restored (with a clean cache) afterwards."""
-    previous = set_pack_cache_capacity(2)
+def bounded_cache(monkeypatch):
+    """A two-pack cache capacity, restored (with a clean cache) afterwards."""
+    monkeypatch.setattr(packed_module, "_CACHE_CAPACITY", 2)
     clear_pack_cache()
     yield
-    set_pack_cache_capacity(previous)
     clear_pack_cache()
 
 
@@ -250,20 +246,6 @@ class TestPackCacheCapacity:
         assert get_packed(w, 1_000, 2_000) is first  # moves to MRU
         get_packed(w, 1_000, 4_000)  # evicts the 3_000 window instead
         assert get_packed(w, 1_000, 2_000) is first
-
-    def test_shrinking_evicts_immediately(self, bounded_cache):
-        w = by_name("astar")
-        get_packed(w, 1_000, 2_000)
-        get_packed(w, 1_000, 3_000)
-        before = pack_cache_stats()["evictions"]
-        set_pack_cache_capacity(1)
-        stats = pack_cache_stats()
-        assert stats["size"] == 1
-        assert stats["evictions"] == before + 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            set_pack_cache_capacity(0)
 
     def test_eviction_emits_obs_event(self, bounded_cache, caplog):
         import logging
@@ -305,3 +287,29 @@ class TestPackedSimulation:
         packed = get_packed(w, 2_000, 6_000)
         assert result_diff(simulate(w, config),
                            simulate_generator(packed.replay(), config)) == {}
+
+    @staticmethod
+    def _file_workload(tmp_path, instructions):
+        path = tmp_path / "trace.rptr"
+        snapshot_workload(by_name("astar"), path, instructions=instructions)
+        return FileWorkload(path)
+
+    @staticmethod
+    def _config(warmup, sim):
+        return SimConfig(policy_factory=DiscardPgc, warmup_instructions=warmup,
+                         sim_instructions=sim)
+
+    def test_file_workload_window_matches_generator(self, tmp_path):
+        w = self._file_workload(tmp_path, instructions=12_000)
+        config = self._config(1_000, 3_000)
+        assert result_diff(simulate_generator(w, config), simulate(w, config)) == {}
+
+    def test_file_workload_truncated_window_same_error(self, tmp_path):
+        # the snapshot ends mid-measurement: both paths must raise the same
+        # truncation error, not silently under-measure
+        w = self._file_workload(tmp_path, instructions=4_000)
+        with pytest.raises(ValueError, match="truncating") as generator:
+            simulate_generator(w, self._config(2_000, 6_000))
+        with pytest.raises(ValueError, match="truncating") as packed:
+            simulate(w, self._config(2_000, 6_000))
+        assert str(packed.value) == str(generator.value)
